@@ -16,12 +16,15 @@ is the full cycle of length m n, which equals c_a^{-1} w_i in the socle.
 
 Elements are stored in the monomial basis: one idempotent per vertex, the
 g-words of each admissible length, and (except for ``string``) one socle
-element per vertex.  Multiplication is given by a closed-form table, so
-all computations are exact.
+element per vertex.  An element is a sparse dict basis index -> nonzero
+scalar, and all element arithmetic goes through :func:`linalg.axpy`.
+Multiplication is given by a closed-form table, so all computations are
+exact.  The symmetrizing form is checked on the sparse Gram matrix, whose
+nonzero entries lie in the blocks e_u A e_v x e_v A e_u.
 """
 
 from .fields import RationalField
-from .linalg import det_int, dense_invert
+from .linalg import RowSolver, axpy, det_int, rank_of_rows
 from .quiver import border, g_structure, is_tetrahedral, skey
 
 KINDS = ("weighted", "biserial", "string", "deformed")
@@ -226,22 +229,21 @@ class AlgebraTable:
             result = ((i, field.one),)
         else:
             scale, arrows = self.chain(j)
-            cur = {i: scale}
-            for a in arrows:
-                nxt = {}
-                for k, cf in cur.items():
-                    for k2, c2 in self.right.get((k, a), ()):
-                        w = field.add(nxt.get(k2, field.zero), field.mul(cf, c2))
-                        if w == field.zero:
-                            nxt.pop(k2, None)
-                        else:
-                            nxt[k2] = w
-                cur = nxt
-                if not cur:
-                    break
-            result = tuple(sorted(cur.items()))
+            result = tuple(sorted(self._walk({i: scale}, arrows).items()))
         self._bp[key] = result
         return result
+
+    def _walk(self, cur, arrows):
+        """The element cur multiplied on the right by each arrow in turn."""
+        field = self.field
+        for a in arrows:
+            nxt = {}
+            for k, cf in cur.items():
+                axpy(nxt, self.right.get((k, a), ()), cf, field)
+            cur = nxt
+            if not cur:
+                break
+        return cur
 
     def multiply(self, x, y):
         """Product of two elements (dicts basis index -> scalar)."""
@@ -249,13 +251,9 @@ class AlgebraTable:
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                s = field.mul(xi, yj)
-                for k, ck in self.basis_product(i, j):
-                    w = field.add(out.get(k, field.zero), field.mul(s, ck))
-                    if w == field.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+                prod = self.basis_product(i, j)
+                if prod:
+                    axpy(out, prod, field.mul(xi, yj), field)
         return out
 
     def idempotent(self, v):
@@ -275,24 +273,11 @@ class AlgebraTable:
 
     def element_from_path(self, arrows, coeff=None):
         """Evaluate a path (sequence of composable arrows) in the algebra."""
-        field = self.field
-        coeff = field.one if coeff is None else coeff
+        coeff = self.field.one if coeff is None else coeff
         if not arrows:
             raise ValueError("empty path has no source idempotent")
-        cur = {self.index[("e", self.quiver.src[arrows[0]])]: coeff}
-        for a in arrows:
-            nxt = {}
-            for k, cf in cur.items():
-                for k2, c2 in self.right.get((k, a), ()):
-                    w = field.add(nxt.get(k2, field.zero), field.mul(cf, c2))
-                    if w == field.zero:
-                        nxt.pop(k2, None)
-                    else:
-                        nxt[k2] = w
-            cur = nxt
-            if not cur:
-                break
-        return cur
+        start = self.index[("e", self.quiver.src[arrows[0]])]
+        return self._walk({start: coeff}, arrows)
 
     def basis_of(self, source=None, target=None):
         """Indices of basis elements with the given source and/or target."""
@@ -312,24 +297,11 @@ def build_algebra(pres):
 
 
 def el_add(field, x, y):
-    out = dict(x)
-    for k, v in y.items():
-        w = field.add(out.get(k, field.zero), v)
-        if w == field.zero:
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
+    return axpy(dict(x), y.items(), field.one, field)
 
 
 def el_scale(field, s, x):
-    if s == field.zero:
-        return {}
-    return {k: field.mul(s, v) for k, v in x.items()}
-
-
-def el_sub(field, x, y):
-    return el_add(field, x, el_scale(field, field.neg(field.one), y))
+    return axpy({}, x.items(), s, field)
 
 
 def defining_relations(table):
@@ -455,57 +427,83 @@ def form_value(table, phi, x):
 
 
 def gram_matrix(table, phi):
-    """The Gram matrix G[i][j] = phi(b_i b_j) of the form on the basis."""
+    """The Gram matrix G[i][j] = phi(b_i b_j), as sparse rows, block by block.
+
+    The form is supported on the socle elements s_w, which lie in
+    e_w A e_w.  For b_i in e_u A e_v, a product b_i b_j is nonzero only
+    when b_j starts at v, and it then lies in e_u A e_t for the target t of
+    b_j; phi can see it only when t = u.  So row i has its nonzero entries
+    among the columns j of the block e_v A e_u, ``table.by_pair[(v, u)]``,
+    and only those entries are computed.  Every other entry is exactly
+    zero, so the sparse rows are the full Gram matrix.
+    """
     field = table.field
-    n = table.dim
-    g = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in table.basis_of(source=table.tgt_of[i]):
-            val = field.zero
-            for k, ck in table.basis_product(i, j):
-                p = phi.get(k)
-                if p is not None:
-                    val = field.add(val, field.mul(p, ck))
-            g[i][j] = val
-    return g
+    gram = []
+    for i in range(table.dim):
+        row = {}
+        for j in table.by_pair.get((table.tgt_of[i], table.src_of[i]), ()):
+            val = form_value(table, phi, dict(table.basis_product(i, j)))
+            if val != field.zero:
+                row[j] = val
+        gram.append(row)
+    return gram
 
 
 def verify_symmetrizing_form(table):
-    """Check symmetry phi(xy) = phi(yx) on all basis pairs and nondegeneracy."""
+    """Check symmetry phi(xy) = phi(yx) on all basis pairs and nondegeneracy.
+
+    G[i][j] and G[j][i] can both be nonzero only for j in the block paired
+    with the block of i (see :func:`gram_matrix`), so symmetry is compared
+    there, in row-major order, and the first failing pair i < j is
+    reported.  The rows of the blocks (u, v) have disjoint column sets, so
+    the rank of G is the sum of its block ranks, and elimination never
+    mixes two blocks.
+    """
     phi = symmetrizing_form(table)
     field = table.field
     gram = gram_matrix(table, phi)
     failure = None
     for i in range(table.dim):
-        for j in range(i + 1, table.dim):
-            if gram[i][j] != gram[j][i]:
+        for j in table.by_pair.get((table.tgt_of[i], table.src_of[i]), ()):
+            if j > i and gram[i].get(j, field.zero) != gram[j].get(i, field.zero):
                 failure = {"i": list(table.basis[i]), "j": list(table.basis[j])}
                 break
         if failure:
             break
-    inv = dense_invert(gram, field)
     return {
         "symmetric": failure is None,
         "failing_pair": failure,
         "dim": table.dim,
-        "nondegenerate": inv is not None,
+        "nondegenerate": rank_of_rows(gram, field) == table.dim,
     }
 
 
 def dual_basis(table):
-    """The dual basis b_j* with phi(b_i . b_j*) = delta_ij, as elements."""
+    """The dual basis b_j* with phi(b_i . b_j*) = delta_ij, as elements.
+
+    Writing b_j* = sum_k x_k b_k, the conditions read sum_k x_k G[i][k] =
+    delta_ij, so x solves ``x . G^T = e_j``.  Column k of G is nonzero only
+    in the block paired with the block of b_k, so the solve for e_j only
+    ever uses the transposed block of b_j.
+
+    Raises:
+        ValueError: when the form is degenerate.
+    """
     if table._dual is not None:
         return table._dual
     field = table.field
-    phi = symmetrizing_form(table)
-    gram = gram_matrix(table, phi)
-    inv = dense_invert(gram, field)
-    if inv is None:
-        raise ValueError("symmetrizing form is degenerate")
+    gram = gram_matrix(table, symmetrizing_form(table))
+    cols = [{} for _ in range(table.dim)]
+    for i, row in enumerate(gram):
+        for k, val in row.items():
+            cols[k][i] = val
+    solver = RowSolver(cols, field)
     dual = []
     for j in range(table.dim):
-        dual.append({k: inv[k][j] for k in range(table.dim)
-                     if inv[k][j] != field.zero})
+        x = solver.solve({j: field.one})
+        if x is None:
+            raise ValueError("symmetrizing form is degenerate")
+        dual.append(x)
     table._dual = dual
     return dual
 
@@ -610,12 +608,7 @@ def scaling_isomorphism_check(table1, table2, scale=None):
         for j in range(table2.dim):
             lhs = {}
             for k, ck in table2.basis_product(i, j):
-                for kk, cc in images[k].items():
-                    w = field.add(lhs.get(kk, field.zero), field.mul(ck, cc))
-                    if w == field.zero:
-                        lhs.pop(kk, None)
-                    else:
-                        lhs[kk] = w
+                axpy(lhs, images[k].items(), ck, field)
             rhs = table1.multiply(images[i], images[j])
             if lhs != rhs:
                 failure = {"i": list(table2.basis[i]), "j": list(table2.basis[j])}

@@ -17,7 +17,7 @@ to be checked on generators.
 """
 
 from .algebra import dual_basis, el_scale
-from .linalg import rank_of_rows
+from .linalg import axpy, rank_of_rows
 
 
 class BimoduleSpace:
@@ -43,38 +43,21 @@ class BimoduleSpace:
             off += len(lb) * len(rb)
         self.dim = off
 
-    def col(self, s, kx, ky):
-        """Flat coordinate of basis tensor kx (x) ky in summand s."""
-        return (self.offsets[s]
-                + self.left_pos[s][kx] * len(self.right[s])
-                + self.right_pos[s][ky])
-
     def flatten(self, terms):
-        """Flat coordinates of a list of (summand, left, right) tensors."""
+        """Flat coordinates of a list of (summand, left, right) tensors.
+
+        Basis tensor kx (x) ky of summand s sits at ``offsets[s] +
+        left_pos[s][kx] * len(right[s]) + right_pos[s][ky]``.
+        """
         field = self.table.field
         out = {}
         for s, x, y in terms:
+            nr, lpos = len(self.right[s]), self.left_pos[s]
+            ys = [(self.right_pos[s][ky], cy) for ky, cy in y.items()]
             for kx, cx in x.items():
-                for ky, cy in y.items():
-                    c = self.col(s, kx, ky)
-                    w = field.add(out.get(c, field.zero), field.mul(cx, cy))
-                    if w == field.zero:
-                        out.pop(c, None)
-                    else:
-                        out[c] = w
+                base = self.offsets[s] + lpos[kx] * nr
+                axpy(out, [(base + p, cy) for p, cy in ys], cx, field)
         return out
-
-    def col_blocks(self):
-        """Flat coordinate -> (left source vertex, right target vertex)."""
-        table = self.table
-        blocks = {}
-        for s in range(len(self.summands)):
-            nr = len(self.right[s])
-            for p, kx in enumerate(self.left[s]):
-                for q, ky in enumerate(self.right[s]):
-                    blocks[self.offsets[s] + p * nr + q] = (
-                        table.src_of[kx], table.tgt_of[ky])
-        return blocks
 
 
 class BimoduleMap:
@@ -113,12 +96,7 @@ class BimoduleMap:
             field = self.table.field
             out = {}
             for s, x, y in terms:
-                for k, cf in self.apply_term(s, x, y).items():
-                    w = field.add(out.get(k, field.zero), cf)
-                    if w == field.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+                axpy(out, self.apply_term(s, x, y).items(), field.one, field)
             return out
         img = []
         for s, x, y in terms:

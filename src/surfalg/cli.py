@@ -209,22 +209,10 @@ def cmd_validate(doc, args):
 def cmd_orbits(doc, args):
     quiver = get_quiver(doc)
     gd = qv.g_structure(quiver)
-    forbits = []
-    seen = set()
-    for a in sorted(quiver.arrows, key=qv.skey):
-        if a in seen:
-            continue
-        orbit = [a]
-        cur = quiver.f[a]
-        while cur != a:
-            orbit.append(cur)
-            cur = quiver.f[cur]
-        seen.update(orbit)
-        forbits.append(orbit)
     return {
         "g_orbits": [{"representative": o[0], "arrows": list(o),
                       "length": len(o)} for o in gd.orbits],
-        "f_orbits": forbits,
+        "f_orbits": qv.f_orbits(quiver),
     }, True
 
 
@@ -397,23 +385,12 @@ def cmd_dot(doc, args):
     lines = ["digraph triangulation {"]
     for v in quiver.vertices:
         lines.append(f'  "{v}";')
-    seen = set()
-    group = 0
-    for a in sorted(quiver.arrows, key=qv.skey):
-        if a in seen:
-            continue
-        orbit = [a]
-        cur = quiver.f[a]
-        while cur != a:
-            orbit.append(cur)
-            cur = quiver.f[cur]
-        seen.update(orbit)
+    for group, orbit in enumerate(qv.f_orbits(quiver)):
         color = _DOT_COLORS[group % len(_DOT_COLORS)]
         for x in orbit:
             lines.append(
                 f'  "{quiver.src[x]}" -> "{quiver.tgt[x]}" '
                 f'[label="{x}", color="{color}"];')
-        group += 1
     lines.append("}")
     return "\n".join(lines) + "\n"
 

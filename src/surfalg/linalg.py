@@ -1,8 +1,10 @@
-"""Exact sparse linear algebra over a field.
+"""Exact sparse linear algebra over a field: the package's only matrix layer.
 
-A *row* is a dict mapping column keys to nonzero scalars.  Column keys can
-be any hashable, sortable-by-str values; elimination picks pivots
-deterministically, so every routine here is reproducible run to run.
+A *row* is a dict mapping column keys to nonzero scalars, and a matrix is a
+list of rows.  Column keys can be any hashable, sortable-by-str values;
+elimination picks pivots deterministically, so every routine here is
+reproducible run to run.  Algebra elements are sparse rows over basis
+indices, so :func:`axpy` is also the one loop behind element arithmetic.
 """
 
 
@@ -10,24 +12,34 @@ def _ckey(col):
     return (str(col), repr(col))
 
 
-def row_scale(row, s, field):
-    """Return ``s * row`` as a new dict, dropping zero entries."""
-    if s == field.zero:
-        return {}
-    return {c: field.mul(s, v) for c, v in row.items()}
+def axpy(dst, pairs, s, field):
+    """In place ``dst += s * src`` for ``src`` given as (key, scalar) pairs.
 
-
-def row_axpy(dst, src, s, field):
-    """In place ``dst += s * src``; returns dst."""
-    if s == field.zero:
-        return dst
-    for c, v in src.items():
-        w = field.add(dst.get(c, field.zero), field.mul(s, v))
-        if w == field.zero:
+    Entries that cancel are removed, so ``dst`` stays a sparse row with
+    nonzero values only.  Returns dst.
+    """
+    zero = field.zero
+    for c, v in pairs:
+        w = field.add(dst.get(c, zero), field.mul(s, v))
+        if w == zero:
             dst.pop(c, None)
         else:
             dst[c] = w
     return dst
+
+
+def rows_mul(a, b, field):
+    """The product a . b of two matrices given as lists of sparse rows.
+
+    The columns of ``a`` index the rows of ``b``.
+    """
+    out = []
+    for row in a:
+        acc = {}
+        for k, v in row.items():
+            axpy(acc, b[k].items(), v, field)
+        out.append(acc)
+    return out
 
 
 class RowSolver:
@@ -39,7 +51,6 @@ class RowSolver:
 
     def __init__(self, rows, field):
         self.field = field
-        self.nrows = len(rows)
         # Echelon rows paired with the combination of inputs producing them.
         self.ech = []  # list of (pivot_col, row_dict, transform_dict)
         self.pivots = {}  # pivot_col -> index into self.ech
@@ -51,14 +62,19 @@ class RowSolver:
             if r:
                 piv = min(r, key=_ckey)
                 s = field.inv(r[piv])
-                r = row_scale(r, s, field)
-                t = row_scale(t, s, field)
+                r = axpy({}, r.items(), s, field)
+                t = axpy({}, t.items(), s, field)
                 self.pivots[piv] = len(self.ech)
                 self.ech.append((piv, r, t))
             else:
                 self._zero_transforms.append(t)
 
     def _reduce(self, r, t):
+        """Clear the pivot columns of r in place; t (if given) tracks ``-x``.
+
+        Afterwards ``r`` equals its input minus ``x . rows``, and ``t`` has
+        gained ``-x``.
+        """
         field = self.field
         while True:
             hit = None
@@ -72,9 +88,9 @@ class RowSolver:
             c, k = hit
             _, er, et = self.ech[k]
             s = field.neg(r[c])
-            row_axpy(r, er, s, field)
+            axpy(r, er.items(), s, field)
             if t is not None:
-                row_axpy(t, et, s, field)
+                axpy(t, et.items(), s, field)
 
     @property
     def rank(self):
@@ -96,24 +112,11 @@ class RowSolver:
         """
         field = self.field
         r = dict(target)
-        x = {}
-        while True:
-            hit = None
-            for c in r:
-                k = self.pivots.get(c)
-                if k is not None:
-                    hit = (c, k)
-                    break
-            if hit is None:
-                break
-            c, k = hit
-            _, er, et = self.ech[k]
-            s = r[c]
-            row_axpy(r, er, field.neg(s), field)
-            row_axpy(x, et, s, field)
+        neg_x = {}
+        self._reduce(r, neg_x)
         if r:
             return None
-        return x
+        return axpy({}, neg_x.items(), field.neg(field.one), field)
 
     def kernel(self):
         """Basis of the left kernel, as dicts over original row indices."""
@@ -123,73 +126,6 @@ class RowSolver:
 def rank_of_rows(rows, field):
     """Rank of the span of sparse rows, by deterministic elimination."""
     return RowSolver(rows, field).rank
-
-
-def dense_to_rows(mat):
-    """Convert a dense list-of-lists matrix to sparse rows keyed by column index."""
-    return [{j: v for j, v in enumerate(row) if v != 0} for row in mat]
-
-
-def dense_rank(mat, field):
-    return rank_of_rows(dense_to_rows(mat), field)
-
-
-def dense_left_kernel(mat, field):
-    """Basis of ``{x : x . mat = 0}`` for a dense matrix, as dense row vectors."""
-    nrows = len(mat)
-    ker = RowSolver(dense_to_rows(mat), field).kernel()
-    out = []
-    for k in ker:
-        out.append([k.get(i, field.zero) for i in range(nrows)])
-    return out
-
-
-def dense_mul(a, b, field):
-    """Dense matrix product a . b."""
-    if not a:
-        return []
-    n, m = len(a), len(a[0])
-    assert m == len(b), "inner dimensions differ"
-    p = len(b[0]) if b else 0
-    out = [[field.zero] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            v = ai[k]
-            if v == field.zero:
-                continue
-            bk = b[k]
-            for j in range(p):
-                if bk[j] != field.zero:
-                    oi[j] = field.add(oi[j], field.mul(v, bk[j]))
-    return out
-
-
-def dense_invert(mat, field):
-    """Inverse of a square dense matrix; None when singular."""
-    n = len(mat)
-    aug = [list(row) + [field.one if j == i else field.zero for j in range(n)]
-           for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        s = field.inv(aug[r][c])
-        aug[r] = [field.mul(s, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != field.zero:
-                s = field.neg(aug[i][c])
-                aug[i] = [field.add(v, field.mul(s, w))
-                          for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
 
 
 def det_int(mat):

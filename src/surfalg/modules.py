@@ -3,7 +3,9 @@
 A right module is a dimension vector over the vertices together with one
 matrix per arrow, acting on row vectors: a vector v at the source of an
 arrow a maps to v . M_a at its target.  A path acts by the product of its
-arrow matrices in path order.
+arrow matrices in path order.  Vectors are sparse rows (dict coordinate ->
+nonzero scalar) and every matrix, of an arrow or of a module map, is a
+list of sparse rows in the format of :mod:`surfalg.linalg`.
 
 The main consumers are the projective resolutions: every simple module
 over a weighted (or socle-deformed) surface algebra has an explicit
@@ -13,89 +15,87 @@ exactness by rank bookkeeping, reporting the precise stage of any failure.
 
 import random
 
-from .linalg import (RowSolver, dense_left_kernel, dense_mul, dense_rank,
-                     dense_to_rows, intersection_dim, rank_of_rows)
+from .algebra import defining_relations, el_add, el_scale
+from .linalg import RowSolver, axpy, intersection_dim, rank_of_rows, rows_mul
 
 
 class RightModule:
-    """A right module: per-vertex dimensions and per-arrow matrices."""
+    """A right module: per-vertex dimensions and per-arrow matrices.
+
+    ``mats`` gives dense matrices (lists of lists) keyed by arrow; a missing
+    arrow acts by zero.  Their shapes are checked against ``dims`` and they
+    are stored as sparse rows in ``self.mats``.
+    """
 
     def __init__(self, table, dims, mats, check_relations=True):
         self.table = table
         q = table.quiver
+        zero = table.field.zero
         self.dims = {v: int(dims.get(v, 0)) for v in q.vertices}
         self.mats = {}
         for a in q.arrows:
-            m = mats.get(a)
             ns, nt = self.dims[q.src[a]], self.dims[q.tgt[a]]
+            m = mats.get(a)
             if m is None:
-                m = [[table.field.zero] * nt for _ in range(ns)]
+                m = [[zero] * nt for _ in range(ns)]
             if len(m) != ns or any(len(row) != nt for row in m):
                 raise ValueError(
                     f"matrix for arrow {a!r} must be {ns} x {nt}"
                 )
-            self.mats[a] = [list(row) for row in m]
+            self.mats[a] = [{j: x for j, x in enumerate(row) if x != zero}
+                            for row in m]
         if check_relations:
             bad = self.violated_relations()
             if bad:
                 raise ValueError(f"module violates relations: {', '.join(bad)}")
+
+    @classmethod
+    def from_rows(cls, table, dims, mats):
+        """A module from per-arrow sparse rows, taken as they are."""
+        mod = cls.__new__(cls)
+        mod.table = table
+        mod.dims = dims
+        mod.mats = mats
+        return mod
 
     @property
     def total_dim(self):
         return sum(self.dims.values())
 
     def act_path(self, vec, arrows):
-        """Apply a path of arrows to a row vector at the path's source."""
+        """Apply a path of arrows to a sparse vector at the path's source."""
         field = self.table.field
-        cur = list(vec)
         for a in arrows:
             mat = self.mats[a]
-            nt = self.dims[self.table.quiver.tgt[a]]
-            out = [field.zero] * nt
-            for i, vi in enumerate(cur):
-                if vi == field.zero:
-                    continue
-                row = mat[i]
-                for j in range(nt):
-                    if row[j] != field.zero:
-                        out[j] = field.add(out[j], field.mul(vi, row[j]))
-            cur = out
-        return cur
+            out = {}
+            for i, x in vec.items():
+                axpy(out, mat[i].items(), x, field)
+            vec = out
+        return vec
 
     def act_basis(self, vec, basis_idx):
         """Apply an algebra basis element (acting on the right) to a vector."""
         scale, arrows = self.table.chain(basis_idx)
-        field = self.table.field
         out = self.act_path(vec, arrows)
-        if scale != field.one:
-            out = [field.mul(scale, x) for x in out]
-        return out
+        if scale == self.table.field.one:
+            return out
+        return el_scale(self.table.field, scale, out)
 
     def violated_relations(self):
         """Names of defining relations whose action does not vanish."""
-        from .algebra import defining_relations
         field = self.table.field
         q = self.table.quiver
         bad = []
         for rel in defining_relations(self.table):
-            first = rel["terms"][0][1]
-            s = q.src[first[0]]
-            ns = self.dims[s]
-            if ns == 0:
-                continue
-            total = None
-            for coeff, arrows in rel["terms"]:
-                nt = self.dims[q.tgt[arrows[-1]]]
-                if total is None:
-                    total = [[field.zero] * nt for _ in range(ns)]
-                for i in range(ns):
-                    unit = [field.one if k == i else field.zero for k in range(ns)]
-                    img = self.act_path(unit, arrows)
-                    for j in range(nt):
-                        total[i][j] = field.add(
-                            total[i][j], field.mul(coeff, img[j]))
-            if total and any(x != field.zero for row in total for x in row):
-                bad.append(rel["name"])
+            s = q.src[rel["terms"][0][1][0]]
+            for i in range(self.dims[s]):
+                total = {}
+                for coeff, arrows in rel["terms"]:
+                    axpy(total, self.act_path({i: field.one}, arrows).items(),
+                         coeff, field)
+                if total:
+                    bad.append(rel["name"])
+                    break
         return bad
 
 
@@ -107,7 +107,6 @@ def projective_sum(table, vertices):
     coordinates, in order.
     """
     q = table.quiver
-    field = table.field
     layout = {w: [] for w in q.vertices}
     for j, v in enumerate(vertices):
         for k in table.basis_of(source=v):
@@ -116,13 +115,11 @@ def projective_sum(table, vertices):
     dims = {w: len(layout[w]) for w in q.vertices}
     mats = {}
     for a in q.arrows:
-        s, t = q.src[a], q.tgt[a]
-        mat = [[field.zero] * dims[t] for _ in range(dims[s])]
-        for r, (j, k) in enumerate(layout[s]):
-            for k2, c2 in table.right.get((k, a), ()):
-                mat[r][pos[t][(j, k2)]] = c2
-        mats[a] = mat
-    mod = RightModule(table, dims, mats, check_relations=False)
+        t = q.tgt[a]
+        mats[a] = [{pos[t][(j, k2)]: c2
+                    for k2, c2 in table.right.get((k, a), ())}
+                   for j, k in layout[q.src[a]]]
+    mod = RightModule.from_rows(table, dims, mats)
     mod.layout = layout
     mod.layout_pos = pos
     mod.components = tuple(vertices)
@@ -139,9 +136,8 @@ def simple_module(table, v):
 
 
 def element_vector(module, component, elem):
-    """Coordinates of an algebra element placed in one projective summand."""
-    field = module.table.field
-    out = {w: [field.zero] * module.dims[w] for w in module.dims}
+    """Sparse per-vertex coordinates of an algebra element in one summand."""
+    out = {w: {} for w in module.dims}
     for k, cf in elem.items():
         w = module.table.tgt_of[k]
         out[w][module.layout_pos[w][(component, k)]] = cf
@@ -157,20 +153,18 @@ class ModuleMap:
         self.mats = mats
 
     def rank(self):
-        return sum(dense_rank(self.mats[w], self.domain.table.field)
+        return sum(rank_of_rows(self.mats[w], self.domain.table.field)
                    for w in self.mats)
 
     def then(self, second):
         """The composite x -> second(self(x))."""
         field = self.domain.table.field
-        mats = {w: dense_mul(self.mats[w], second.mats[w], field)
+        mats = {w: rows_mul(self.mats[w], second.mats[w], field)
                 for w in self.mats}
         return ModuleMap(self.domain, second.codomain, mats)
 
     def is_zero(self):
-        field = self.domain.table.field
-        return all(x == field.zero
-                   for w in self.mats for row in self.mats[w] for x in row)
+        return not any(row for rows in self.mats.values() for row in rows)
 
     def intertwines(self):
         """Check compatibility with all arrow actions (for tests)."""
@@ -178,8 +172,8 @@ class ModuleMap:
         q = self.domain.table.quiver
         for a in q.arrows:
             s, t = q.src[a], q.tgt[a]
-            lhs = dense_mul(self.domain.mats[a], self.mats[t], field)
-            rhs = dense_mul(self.mats[s], self.codomain.mats[a], field)
+            lhs = rows_mul(self.domain.mats[a], self.mats[t], field)
+            rhs = rows_mul(self.mats[s], self.codomain.mats[a], field)
             if lhs != rhs:
                 return False
         return True
@@ -198,16 +192,17 @@ def module_map_from_elements(table, elems, srcs, dsts):
     codomain = projective_sum(table, dsts)
     mats = {}
     for w in table.quiver.vertices:
-        mat = [[field.zero] * codomain.dims[w] for _ in range(domain.dims[w])]
-        for r, (j, k) in enumerate(domain.layout[w]):
+        pos = codomain.layout_pos[w]
+        mat = []
+        for j, k in domain.layout[w]:
+            row = {}
             for l in range(len(dsts)):
                 e = elems[l][j]
-                if not e:
-                    continue
-                img = table.multiply(e, {k: field.one})
-                for k2, cf in img.items():
-                    mat[r][codomain.layout_pos[w][(l, k2)]] = field.add(
-                        mat[r][codomain.layout_pos[w][(l, k2)]], cf)
+                if e:
+                    img = table.multiply(e, {k: field.one})
+                    axpy(row, ((pos[(l, k2)], cf) for k2, cf in img.items()),
+                         field.one, field)
+            mat.append(row)
         mats[w] = mat
     return ModuleMap(domain, codomain, mats)
 
@@ -221,7 +216,7 @@ def radical_profile(module):
         rows = []
         for a in q.arrows:
             if q.tgt[a] == v:
-                rows.extend(dense_to_rows(module.mats[a]))
+                rows.extend(module.mats[a])
         solvers[v] = RowSolver(rows, field)
     return solvers
 
@@ -251,40 +246,30 @@ def syzygy(module):
         mat = []
         for j, k in cover.layout[w]:
             v, col = gens[j]
-            unit = [field.one if i == col else field.zero
-                    for i in range(module.dims[v])]
-            mat.append(module.act_basis(unit, k))
+            mat.append(module.act_basis({col: field.one}, k))
         hmats[w] = mat
     h = ModuleMap(cover, module, hmats)
     surjective = h.rank() == module.total_dim
-    kbasis = {w: dense_left_kernel(hmats[w], field) for w in q.vertices}
+    kbasis = {w: RowSolver(hmats[w], field).kernel() for w in q.vertices}
     # Minimality: kernel rows avoid the generator coordinates e_v.
     gen_coord = {}
     for j, (v, _) in enumerate(gens):
         gen_coord.setdefault(v, []).append(
             cover.layout_pos[v][(j, table.index[("e", v)])])
-    minimal = True
-    for w in q.vertices:
-        for row in kbasis[w]:
-            for p in gen_coord.get(w, ()):
-                if row[p] != field.zero:
-                    minimal = False
-    solvers = {w: RowSolver(dense_to_rows(kbasis[w]), field)
-               for w in q.vertices}
+    minimal = not any(p in row for w in q.vertices for row in kbasis[w]
+                      for p in gen_coord.get(w, ()))
+    solvers = {w: RowSolver(kbasis[w], field) for w in q.vertices}
     kdims = {w: len(kbasis[w]) for w in q.vertices}
     kmats = {}
     for a in q.arrows:
-        s, t = q.src[a], q.tgt[a]
         mat = []
-        for row in kbasis[s]:
-            img = cover.act_path(row, [a])
-            sol = solvers[t].solve(
-                {i: x for i, x in enumerate(img) if x != field.zero})
+        for row in kbasis[q.src[a]]:
+            sol = solvers[q.tgt[a]].solve(cover.act_path(row, [a]))
             if sol is None:
                 raise AssertionError("kernel is not arrow-stable")
-            mat.append([sol.get(i, field.zero) for i in range(kdims[t])])
+            mat.append(sol)
         kmats[a] = mat
-    kernel = RightModule(table, kdims, kmats, check_relations=False)
+    kernel = RightModule.from_rows(table, kdims, kmats)
     info = {
         "cover_components": [v for v, _ in gens],
         "cover_dim": cover.total_dim,
@@ -295,10 +280,16 @@ def syzygy(module):
 
 
 def hom_space(m1, m2):
-    """A basis of module homomorphisms m1 -> m2, per-vertex matrices."""
+    """A basis of module homomorphisms m1 -> m2, per-vertex matrices.
+
+    The unknowns are the entries X_v[i][j]; arrow a gives the equations
+    (a, i, j) of ``M1_a . X_t = X_s . M2_a``.  Each unknown is a row over
+    the equations, and the kernel of those rows is the hom space.
+    """
     table = m1.table
     q = table.quiver
     field = table.field
+    minus_one = field.neg(field.one)
     variables = []
     for v in q.vertices:
         for i in range(m1.dims[v]):
@@ -308,23 +299,20 @@ def hom_space(m1, m2):
     rows = [dict() for _ in variables]
     for a in q.arrows:
         s, t = q.src[a], q.tgt[a]
-        for i in range(m1.dims[s]):
-            for j in range(m2.dims[t]):
-                eq = (a, i, j)
-                for k in range(m1.dims[t]):
-                    cf = m1.mats[a][i][k]
-                    if cf != field.zero:
-                        r = rows[var_pos[(t, k, j)]]
-                        r[eq] = field.add(r.get(eq, field.zero), cf)
-                for l in range(m2.dims[s]):
-                    cf = m2.mats[a][l][j]
-                    if cf != field.zero:
-                        r = rows[var_pos[(s, i, l)]]
-                        r[eq] = field.sub(r.get(eq, field.zero), cf)
+        # Each (unknown, equation) entry gets at most one term from each
+        # side, and the M1 side comes first.
+        for i, row in enumerate(m1.mats[a]):
+            for k, cf in row.items():
+                for j in range(m2.dims[t]):
+                    rows[var_pos[(t, k, j)]][(a, i, j)] = cf
+        for l, row in enumerate(m2.mats[a]):
+            for i in range(m1.dims[s]):
+                axpy(rows[var_pos[(s, i, l)]],
+                     (((a, i, j), cf) for j, cf in row.items()),
+                     minus_one, field)
     out = []
     for combo in RowSolver(rows, field).kernel():
-        mats = {v: [[field.zero] * m2.dims[v] for _ in range(m1.dims[v])]
-                for v in q.vertices}
+        mats = {v: [{} for _ in range(m1.dims[v])] for v in q.vertices}
         for k, cf in combo.items():
             v, i, j = variables[k]
             mats[v][i][j] = cf
@@ -333,13 +321,7 @@ def hom_space(m1, m2):
 
 
 def _invertible_everywhere(mats, dims, field):
-    from .linalg import dense_invert
-    for v, n in dims.items():
-        if n == 0:
-            continue
-        if dense_invert(mats[v], field) is None:
-            return False
-    return True
+    return all(rank_of_rows(mats[v], field) == n for v, n in dims.items())
 
 
 def module_iso(m1, m2, seed=0, budget=64):
@@ -365,16 +347,13 @@ def module_iso(m1, m2, seed=0, budget=64):
     span = field.char if field.char else 11
     for _ in range(budget):
         coeffs = [field.of_int(rng.randrange(span)) for _ in basis]
-        mats = {v: [[field.zero] * m2.dims[v] for _ in range(m1.dims[v])]
-                for v in m1.dims}
+        mats = {v: [{} for _ in range(m1.dims[v])] for v in m1.dims}
         for cf, base in zip(coeffs, basis):
             if cf == field.zero:
                 continue
             for v in mats:
-                for i in range(m1.dims[v]):
-                    for j in range(m2.dims[v]):
-                        mats[v][i][j] = field.add(
-                            mats[v][i][j], field.mul(cf, base[v][i][j]))
+                for acc, row in zip(mats[v], base[v]):
+                    axpy(acc, row.items(), cf, field)
         if _invertible_everywhere(mats, m1.dims, field):
             return True, {"iso": mats}
     return False, {
@@ -401,18 +380,18 @@ def _resolution_maps(table, v):
     # Column 0: phi = (f(al), -c_ab A'_ab [- b B'_ab]); column 1:
     # psi = (-c_al A'_al [- b A_al], f(ab)).
     phi0 = table.arrow_element(f[al])
-    phi1 = el_scale_local(field, field.neg(table.c[ab]),
-                          table.word_element(g[ab], table.mn[ab] - 2))
-    psi0 = el_scale_local(field, field.neg(table.c[al]),
-                          table.word_element(g[al], table.mn[al] - 2))
+    phi1 = el_scale(field, field.neg(table.c[ab]),
+                    table.word_element(g[ab], table.mn[ab] - 2))
+    psi0 = el_scale(field, field.neg(table.c[al]),
+                    table.word_element(g[al], table.mn[al] - 2))
     psi1 = table.arrow_element(f[ab])
     if bval != field.zero:
-        extra_phi = el_scale_local(field, field.neg(bval),
-                                   table.word_element(g[ab], table.mn[ab] - 1))
-        phi1 = add_local(field, phi1, extra_phi)
-        extra_psi = el_scale_local(field, field.neg(bval),
-                                   table.word_element(al, table.mn[al] - 1))
-        psi0 = add_local(field, psi0, extra_psi)
+        extra_phi = el_scale(field, field.neg(bval),
+                             table.word_element(g[ab], table.mn[ab] - 1))
+        phi1 = el_add(field, phi1, extra_phi)
+        extra_psi = el_scale(field, field.neg(bval),
+                             table.word_element(al, table.mn[al] - 1))
+        psi0 = el_add(field, psi0, extra_psi)
     pi2 = module_map_from_elements(
         table, [[phi0, psi0], [phi1, psi1]],
         srcs=[q.tgt[f[al]], q.tgt[f[ab]]], dsts=[q.tgt[al], q.tgt[ab]])
@@ -421,21 +400,6 @@ def _resolution_maps(table, v):
         [[table.arrow_element(f[f[al]])], [table.arrow_element(f[f[ab]])]],
         srcs=[v], dsts=[q.tgt[f[al]], q.tgt[f[ab]]])
     return al, ab, pi1, pi2, pi3, (phi0, phi1, psi0, psi1)
-
-
-def el_scale_local(field, s, e):
-    return {k: field.mul(s, x) for k, x in e.items()} if s != field.zero else {}
-
-
-def add_local(field, x, y):
-    out = dict(x)
-    for k, vv in y.items():
-        w = field.add(out.get(k, field.zero), vv)
-        if w == field.zero:
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
 
 
 def verify_simple_resolution(table, v):
@@ -469,7 +433,7 @@ def verify_simple_resolution(table, v):
 
     r1 = pi1.rank()
     e_pos = p_v.layout_pos[v][(0, table.index[("e", v)])]
-    in_radical = all(row[e_pos] == field.zero for row in pi1.mats[v])
+    in_radical = all(e_pos not in row for row in pi1.mats[v])
     stages.append({
         "name": "image_pi1_is_radical",
         "ok": in_radical and r1 == p_v.total_dim - 1,
@@ -503,15 +467,8 @@ def verify_simple_resolution(table, v):
 
     ker3 = pi3.domain.total_dim - r3
     soc_vec = element_vector(pi3.domain, 0, table.socle_element(v))
-    img = {w: [field.zero] * pi3.codomain.dims[w] for w in q.vertices}
-    for w in q.vertices:
-        for i, x in enumerate(soc_vec[w]):
-            if x == field.zero:
-                continue
-            for j in range(pi3.codomain.dims[w]):
-                img[w][j] = field.add(
-                    img[w][j], field.mul(x, pi3.mats[w][i][j]))
-    soc_killed = all(x == field.zero for w in q.vertices for x in img[w])
+    soc_killed = not any(rows_mul([soc_vec[w]], pi3.mats[w], field)[0]
+                         for w in q.vertices)
     stages.append({
         "name": "kernel_pi3_is_socle",
         "ok": ker3 == 1 and soc_killed,

@@ -178,6 +178,32 @@ def validate(vertices, arrows, f):
     return TriangulationQuiver(vertices, arrows, f)
 
 
+def _orbits(arrows, perm):
+    """The orbits of a permutation of the arrows, as tuples.
+
+    Arrows are visited in sorted order, so each orbit starts at its least
+    member and the orbits come ordered by least member.
+    """
+    orbits = []
+    seen = set()
+    for a in sorted(arrows, key=skey):
+        if a in seen:
+            continue
+        orbit = [a]
+        cur = perm[a]
+        while cur != a:
+            orbit.append(cur)
+            cur = perm[cur]
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def f_orbits(quiver):
+    """The f-orbits (triangles and border loops), each from its least arrow."""
+    return _orbits(quiver.arrows, quiver.f)
+
+
 class GData:
     """The g-orbit structure of a triangulation quiver.
 
@@ -190,35 +216,14 @@ class GData:
 
     def __init__(self, quiver):
         self.quiver = quiver
-        self.bar = dict(quiver.bar)
         self.g = {a: quiver.g(a) for a in quiver.arrows}
-        self.orbits = []
+        self.orbits = _orbits(quiver.arrows, self.g)
         self.rep = {}
         self.n = {}
-        seen = set()
-        for a in sorted(quiver.arrows, key=skey):
-            if a in seen:
-                continue
-            orbit = [a]
-            cur = self.g[a]
-            while cur != a:
-                orbit.append(cur)
-                cur = self.g[cur]
-            start = min(range(len(orbit)), key=lambda i: skey(orbit[i]))
-            orbit = tuple(orbit[start:] + orbit[:start])
-            self.orbits.append(orbit)
+        for orbit in self.orbits:
             for x in orbit:
-                seen.add(x)
                 self.rep[x] = orbit[0]
                 self.n[x] = len(orbit)
-        self.orbits.sort(key=lambda o: skey(o[0]))
-
-    def orbit_of(self, a):
-        r = self.rep[a]
-        for o in self.orbits:
-            if o[0] == r:
-                return o
-        raise KeyError(a)
 
     def g_power(self, a, k):
         """g^k(a) for k >= 0."""
@@ -228,7 +233,7 @@ class GData:
 
 
 def g_structure(quiver):
-    """Compute bar, g, and the ordered list of g-orbits."""
+    """Compute g and the ordered list of g-orbits."""
     return GData(quiver)
 
 

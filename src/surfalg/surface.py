@@ -131,16 +131,8 @@ def surface_from_quiver(quiver):
     """
     triangles = []
     boundary = []
-    seen = set()
-    for a in sorted(quiver.arrows, key=skey):
-        if a in seen:
-            continue
-        orbit = [a]
-        cur = quiver.f[a]
-        while cur != a:
-            orbit.append(cur)
-            cur = quiver.f[cur]
-        seen.update(orbit)
+    for orbit in qv.f_orbits(quiver):
+        a = orbit[0]
         if len(orbit) == 1:
             boundary.append(quiver.src[a])
             continue

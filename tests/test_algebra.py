@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 from surfalg.algebra import el_add, form_value
@@ -177,12 +178,12 @@ def test_symmetrizing_form():
         assert rep["symmetric"], t.kind
         assert rep["nondegenerate"], t.kind
         G = sa.gram_matrix(t, sa.symmetrizing_form(t))
-        from surfalg.linalg import dense_rank
-        assert dense_rank(G, t.field) == t.dim
+        from surfalg.linalg import rank_of_rows
+        assert rank_of_rows(G, t.field) == t.dim
 
 
-def test_dual_basis_pairing():
-    t = fx.tetrahedral_algebra(a=2)
+def assert_dual_pairing(t):
+    """phi(b_i . b_j*) is exactly delta_ij for all basis indices i, j."""
     F = t.field
     dual = sa.dual_basis(t)
     phi = sa.symmetrizing_form(t)
@@ -192,6 +193,31 @@ def test_dual_basis_pairing():
             val = form_value(t, phi, prod)
             expect = F.one if i == j else F.zero
             assert val == expect, (i, j)
+
+
+def test_dual_basis_pairing():
+    deformed = fx.deformed_triangle_f2()
+    # the socle deformation puts a second nonzero into some Gram rows
+    gram = sa.gram_matrix(deformed, sa.symmetrizing_form(deformed))
+    assert max(len(row) for row in gram) == 2
+    for t in (fx.tetrahedral_algebra(a=2), fx.triangle_algebra(m=3),
+              deformed):
+        assert_dual_pairing(t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_dual_basis_pairing_random(data):
+    name = data.draw(st.sampled_from(sorted(fx.ALL_QUIVERS)))
+    q = fx.ALL_QUIVERS[name]()
+    low = fx.MIN_WEIGHTS[name]
+    m, c = {}, {}
+    for o in sa.g_structure(q).orbits:
+        least = max(low.get(a, 1) for a in o)
+        m[o[0]] = data.draw(st.integers(least, max(least, 3)))
+        num = data.draw(st.integers(1, 5)) * data.draw(st.sampled_from((1, -1)))
+        c[o[0]] = Fraction(num, data.draw(st.integers(1, 5)))
+    assert_dual_pairing(fx.weighted(q, m=m, c=c))
 
 
 def test_tetrahedral_parameters_and_roles():

@@ -1,4 +1,4 @@
-"""Exact scalar fields and the sparse/dense linear algebra kernel."""
+"""Exact scalar fields and the sparse linear algebra kernel."""
 
 from fractions import Fraction
 
@@ -9,13 +9,11 @@ import surfalg as sa
 from surfalg.fields import PrimeField
 from surfalg.linalg import (
     RowSolver,
-    dense_invert,
-    dense_left_kernel,
-    dense_mul,
-    dense_rank,
+    axpy,
     det_int,
     intersection_dim,
     rank_of_rows,
+    rows_mul,
 )
 
 
@@ -105,19 +103,27 @@ def test_row_solver_kernel():
     assert all(v == F.zero for v in acc.values())
 
 
-def test_dense_helpers():
+def test_sparse_helpers():
     F = sa.QQ
-    one, zero = F.one, F.zero
-    a = [[one, zero], [one, one]]
-    b = [[one, one], [zero, one]]
-    assert dense_rank(a, F) == 2
-    prod = dense_mul(a, b, F)
-    assert prod == [[one, one], [one, F.parse("2")]]
-    inv = dense_invert(a, F)
-    assert dense_mul(a, inv, F) == [[one, zero], [zero, one]]
-    assert dense_invert([[one, one], [one, one]], F) is None
-    ker = dense_left_kernel([[one, one], [one, one]], F)
+    one = F.one
+    a = [{0: one}, {0: one, 1: one}]
+    b = [{0: one, 1: one}, {1: one}]
+    assert rank_of_rows(a, F) == 2
+    assert rows_mul(a, b, F) == [{0: one, 1: one}, {0: one, 1: F.parse("2")}]
+    ones = [{0: one, 1: one}, {0: one, 1: one}]
+    assert rank_of_rows(ones, F) == 1
+    ker = RowSolver(ones, F).kernel()
     assert len(ker) == 1
+    assert rows_mul(ker, ones, F) == [{}]
+
+
+def test_axpy_drops_cancelled_entries():
+    F = sa.QQ
+    one = F.one
+    dst = {0: one, 1: F.parse("2")}
+    assert axpy(dst, {0: one, 2: one}.items(), F.neg(one), F) == \
+        {1: F.parse("2"), 2: F.neg(one)}
+    assert axpy({}, [(0, one)], F.zero, F) == {}
 
 
 def test_det_int():
