@@ -13,7 +13,10 @@ the fourth syzygy of A over its enveloping algebra is A again.
 Elements of a projective bimodule are stored as lists of pure tensors
 (summand, left element, right element); maps are given on the summand
 generators e (x) e and extended bilinearly, so composites only ever need
-to be checked on generators.
+to be checked on generators.  A generator image sum (s2, u, v) sends the
+basis tensor kx (x) ky to sum kx.u (x) v.ky, so the rows of a rank matrix
+come from left products kx.u and right products v.ky, each computed once
+per generator term and basis element.
 """
 
 from .algebra import dual_basis, el_scale
@@ -60,68 +63,90 @@ class BimoduleSpace:
         return out
 
 
+class AlgebraTarget:
+    """The algebra A as a codomain: a tensor x (x) y flattens to x . y."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def flatten(self, terms):
+        field = self.table.field
+        out = {}
+        for _, x, y in terms:
+            axpy(out, self.table.multiply(x, y).items(), field.one, field)
+        return out
+
+
+def block_rank(keyed_rows, field):
+    """Rank of a matrix given as (block key, row) pairs, summed over blocks.
+
+    A row is keyed by (u, w) = (s(kx), t(ky)) of the basis tensor
+    kx (x) ky it is the image of (theta keys basis element k by
+    (s(k), t(k))).  A bimodule map multiplies only on the inside, so the
+    image is a sum of tensors kx.a (x) b.ky whose left factor still starts
+    at u and whose right factor still ends at w; in A it is kx.a.b.ky in
+    e_u A e_w.  Rows with different keys therefore have disjoint column
+    supports: the matrix is block diagonal up to a permutation, and its
+    rank is the sum of the block ranks.  Empty rows are dropped.
+    """
+    blocks = {}
+    for key, row in keyed_rows:
+        if row:
+            blocks.setdefault(key, []).append(row)
+    return sum(rank_of_rows(rows, field) for rows in blocks.values())
+
+
 class BimoduleMap:
     """A bimodule homomorphism, given by the images of summand generators.
 
     ``gen_images[s]`` is the image of e (x) e of summand s, a list of pure
-    tensors in the codomain.  When ``to_algebra`` is set the codomain is A
-    itself and the images are plain elements.
+    tensors (s2, u, v) in the codomain.  The codomain is anything with a
+    ``flatten`` of such tensors: a BimoduleSpace, or A as AlgebraTarget.
     """
 
-    def __init__(self, domain, codomain, gen_images, to_algebra=False):
+    def __init__(self, domain, codomain, gen_images):
         self.domain = domain
         self.codomain = codomain
         self.gen_images = gen_images
-        self.to_algebra = to_algebra
         self.table = domain.table
 
-    def apply_term(self, s, x, y):
-        """Image of the pure tensor x (x) y of summand s."""
-        table = self.table
-        if self.to_algebra:
-            return table.multiply(table.multiply(x, self.gen_images[s]), y)
-        out = []
-        for s2, u, v in self.gen_images[s]:
-            xu = table.multiply(x, u)
-            if not xu:
-                continue
-            vy = table.multiply(v, y)
-            if vy:
-                out.append((s2, xu, vy))
-        return out
-
     def apply_flat(self, terms):
-        """Flat image of a list of pure tensors of the domain."""
-        if self.to_algebra:
-            field = self.table.field
-            out = {}
-            for s, x, y in terms:
-                axpy(out, self.apply_term(s, x, y).items(), field.one, field)
-            return out
-        img = []
-        for s, x, y in terms:
-            img.extend(self.apply_term(s, x, y))
-        return self.codomain.flatten(img)
+        """Flat image of a list of pure tensors (s, x, y) of the domain."""
+        mul = self.table.multiply
+        return self.codomain.flatten([
+            (s2, mul(x, u), mul(v, y))
+            for s, x, y in terms for s2, u, v in self.gen_images[s]])
 
     def rank(self):
-        """Rank of the full matrix, summed over the vertex-pair blocks.
+        """Rank of the matrix whose rows are the images of basis tensors.
 
-        A bimodule map sends A e (x) e A tensors with left source u and
-        right target w into the same (u, w) block of the codomain, so the
-        matrix is block diagonal and ranks add up.
+        The left products kx.u are formed once per (kx, term) and the right
+        products v.ky once per (term, ky); terms with kx.u = 0 are dropped
+        before the rows of kx are flattened.
         """
         table = self.table
-        field = table.field
-        one = field.one
-        blocks = {}
-        for s in range(len(self.domain.summands)):
-            for kx in self.domain.left[s]:
-                for ky in self.domain.right[s]:
-                    row = self.apply_flat([(s, {kx: one}, {ky: one})])
-                    if row:
-                        key = (table.src_of[kx], table.tgt_of[ky])
-                        blocks.setdefault(key, []).append(row)
-        return sum(rank_of_rows(rows, field) for rows in blocks.values())
+        mul, one = table.multiply, table.field.one
+
+        def keyed_rows():
+            for s, terms in enumerate(self.gen_images):
+                right = self.domain.right[s]
+                vys = [[mul(v, {ky: one}) for ky in right]
+                       for _, _, v in terms]
+                for kx in self.domain.left[s]:
+                    xus = []
+                    for (s2, u, _), vy in zip(terms, vys):
+                        xu = mul({kx: one}, u)
+                        if xu:
+                            xus.append((s2, xu, vy))
+                    if not xus:
+                        continue
+                    for p, ky in enumerate(right):
+                        yield ((table.src_of[kx], table.tgt_of[ky]),
+                               self.codomain.flatten([(s2, xu, vy[p])
+                                                      for s2, xu, vy in xus
+                                                      if vy[p]]))
+
+        return block_rank(keyed_rows(), table.field)
 
 
 def bimodule_spaces(table):
@@ -134,13 +159,18 @@ def bimodule_spaces(table):
     return p0, p1, p2, p3
 
 
+def space_dims(table, spaces):
+    """The report's dims: A, then P0..P3."""
+    dims = {"algebra": table.dim}
+    dims.update((f"P{i}", p.dim) for i, p in enumerate(spaces))
+    return dims
+
+
 def bimodule_dims(table):
-    p0, p1, p2, p3 = bimodule_spaces(table)
-    return {"algebra": table.dim, "P0": p0.dim, "P1": p1.dim,
-            "P2": p2.dim, "P3": p3.dim}
+    return space_dims(table, bimodule_spaces(table))
 
 
-def rho(table, p1, arrows, coeff):
+def rho(table, arrows, coeff):
     """The derivation-style lift of a path into P1.
 
     A path a_1 ... a_m maps to the sum over k of
@@ -167,11 +197,9 @@ def rho(table, p1, arrows, coeff):
 
 
 def map_d0(table, p0):
-    """P0 -> A, e (x) e of summand i to e_i."""
-    return BimoduleMap(
-        p0, None,
-        [table.idempotent(v) for v in table.quiver.vertices],
-        to_algebra=True)
+    """P0 -> A, e (x) e of summand i to e_i . e_i = e_i."""
+    es = [table.idempotent(v) for v in table.quiver.vertices]
+    return BimoduleMap(p0, AlgebraTarget(table), [[(None, e, e)] for e in es])
 
 
 def map_d(table, p0, p1):
@@ -197,14 +225,13 @@ def map_R(table, p1, p2):
     gens = []
     for a in q.arrows:
         ab = q.bar[a]
-        terms = rho(table, p1, (a, q.f[a]), field.one)
-        terms.extend(rho(table, p1, table.word_arrows(ab, table.mn[ab] - 1),
+        terms = rho(table, (a, q.f[a]), field.one)
+        terms.extend(rho(table, table.word_arrows(ab, table.mn[ab] - 1),
                          field.neg(table.c[ab])))
         if table.kind == "deformed" and q.f[a] == a:
             bb = table.pres.b.get(q.src[a], field.zero)
             if bb != field.zero:
-                terms.extend(rho(table, p1,
-                                 table.word_arrows(ab, table.mn[ab]),
+                terms.extend(rho(table, table.word_arrows(ab, table.mn[ab]),
                                  field.neg(bb)))
         gens.append(terms)
     return BimoduleMap(p2, p1, gens)
@@ -261,7 +288,7 @@ def map_S(table, p2, p3):
     return BimoduleMap(p3, p2, gens)
 
 
-def xi_element(table, p3, v):
+def xi_element(table, v):
     """The Casimir-style element xi_v = sum b (x) b* over the basis of e_v A."""
     dual = dual_basis(table)
     vidx = {w: p for p, w in enumerate(table.quiver.vertices)}
@@ -275,28 +302,21 @@ def xi_element(table, p3, v):
 def map_theta(table, p3):
     """A -> P3, e_v to xi_v; its image is the kernel of S.
 
-    Not a BimoduleMap (its domain is A), so rank and rows are provided
-    directly.
+    Not a BimoduleMap (its domain is A): basis element k of e_v A goes to
+    xi_v . k, and ``rank`` sums the block ranks of those rows.
     """
     field = table.field
-    xis = {v: xi_element(table, p3, v) for v in table.quiver.vertices}
-
-    def row(k):
-        v = table.src_of[k]
-        terms = [(s, x, table.multiply(y, {k: field.one}))
-                 for s, x, y in xis[v]]
-        return p3.flatten([t for t in terms if t[2]])
+    xis = {v: xi_element(table, v) for v in table.quiver.vertices}
 
     def rank():
-        blocks = {}
-        for k in range(table.dim):
-            r = row(k)
-            if r:
-                key = (table.src_of[k], table.tgt_of[k])
-                blocks.setdefault(key, []).append(r)
-        return sum(rank_of_rows(rows, field) for rows in blocks.values())
+        one = field.one
+        return block_rank(
+            (((table.src_of[k], table.tgt_of[k]),
+              p3.flatten([(s, x, table.multiply(y, {k: one}))
+                          for s, x, y in xis[table.src_of[k]]]))
+             for k in range(table.dim)), field)
 
-    return {"xis": xis, "row": row, "rank": rank}
+    return {"xis": xis, "rank": rank}
 
 
 def verify_bimodule_periodicity(table):
@@ -316,72 +336,45 @@ def verify_bimodule_periodicity(table):
         raise ValueError(
             "bimodule periodicity requires kind 'weighted' or 'deformed'")
     q = table.quiver
-    field = table.field
     p0, p1, p2, p3 = bimodule_spaces(table)
-    dims = {"algebra": table.dim, "P0": p0.dim, "P1": p1.dim,
-            "P2": p2.dim, "P3": p3.dim}
-    d0 = map_d0(table, p0)
-    d = map_d(table, p0, p1)
-    R = map_R(table, p1, p2)
-    S = map_S(table, p2, p3)
+    dims = space_dims(table, (p0, p1, p2, p3))
+    maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
+            "R": map_R(table, p1, p2), "S": map_S(table, p2, p3)}
     stages = []
     ranks = {}
 
-    def fail():
-        failing = next(s["name"] for s in stages if not s["ok"])
+    def report(ok):
+        failing = None if ok else next(
+            s["name"] for s in stages if not s["ok"])
         return {
             "dims": dims, "ranks": ranks, "stages": stages,
-            "verdict": "NOT_VERIFIED", "failing_stage": failing,
+            "verdict": "PERIODIC_PERIOD_4" if ok else "NOT_VERIFIED",
+            "failing_stage": failing,
         }
 
-    ranks["d0"] = d0.rank()
+    ranks["d0"] = maps["d0"].rank()
     stages.append({"name": "d0_surjective", "ok": ranks["d0"] == table.dim,
                    "rank": ranks["d0"], "expected": table.dim})
     if not stages[-1]["ok"]:
-        return fail()
+        return report(False)
 
-    vidx = {v: p for p, v in enumerate(q.vertices)}
-    comp = all(
-        not d0.apply_flat(d.gen_images[p])
-        for p in range(len(q.arrows))
-    )
-    ranks["d"] = d.rank()
-    expected = p0.dim - table.dim
-    stages.append({"name": "exact_at_P0", "ok": comp and ranks["d"] == expected,
-                   "composite_zero": comp, "rank": ranks["d"],
-                   "expected": expected})
-    if not stages[-1]["ok"]:
-        return fail()
-
-    comp = all(
-        not d.apply_flat(R.gen_images[p])
-        for p in range(len(q.arrows))
-    )
-    ranks["R"] = R.rank()
-    expected = p1.dim - ranks["d"]
-    stages.append({"name": "exact_at_P1", "ok": comp and ranks["R"] == expected,
-                   "composite_zero": comp, "rank": ranks["R"],
-                   "expected": expected})
-    if not stages[-1]["ok"]:
-        return fail()
-
-    comp = all(
-        not R.apply_flat(S.gen_images[vidx[v]])
-        for v in q.vertices
-    )
-    ranks["S"] = S.rank()
-    expected = p2.dim - ranks["R"]
-    stages.append({"name": "exact_at_P2", "ok": comp and ranks["S"] == expected,
-                   "composite_zero": comp, "rank": ranks["S"],
-                   "expected": expected})
-    if not stages[-1]["ok"]:
-        return fail()
+    # Past d0, ranks["d0"] == dim A, so the expected rank of d is
+    # dim P0 - dim A.
+    for name, prev, key, space in (("exact_at_P0", "d0", "d", p0),
+                                   ("exact_at_P1", "d", "R", p1),
+                                   ("exact_at_P2", "R", "S", p2)):
+        comp = all(not maps[prev].apply_flat(img)
+                   for img in maps[key].gen_images)
+        ranks[key] = maps[key].rank()
+        expected = space.dim - ranks[prev]
+        stages.append({"name": name, "ok": comp and ranks[key] == expected,
+                       "composite_zero": comp, "rank": ranks[key],
+                       "expected": expected})
+        if not stages[-1]["ok"]:
+            return report(False)
 
     theta = map_theta(table, p3)
-    comp = all(
-        not S.apply_flat(theta["xis"][v])
-        for v in q.vertices
-    )
+    comp = all(not maps["S"].apply_flat(theta["xis"][v]) for v in q.vertices)
     ranks["theta"] = theta["rank"]()
     kernel_dim = p3.dim - ranks["S"]
     socle_seen = all(
@@ -395,10 +388,4 @@ def verify_bimodule_periodicity(table):
                    "composite_zero": comp, "rank": ranks["theta"],
                    "kernel_dim": kernel_dim,
                    "socle_faithful": socle_seen})
-    if not ok:
-        return fail()
-
-    return {
-        "dims": dims, "ranks": ranks, "stages": stages,
-        "verdict": "PERIODIC_PERIOD_4", "failing_stage": None,
-    }
+    return report(ok)

@@ -476,24 +476,15 @@ def verify_simple_resolution(table, v):
     })
 
     phi0, phi1, psi0, psi1 = cols
-    cod = pi2.codomain
-    phi_rows = []
-    psi_rows = []
-    for k in table.basis_of(source=q.tgt[q.f[al]]):
-        x = {k: field.one}
-        row = {}
-        for l, e in ((0, phi0), (1, phi1)):
-            for k2, cf in table.multiply(e, x).items():
-                row[(l, k2)] = cf
-        phi_rows.append(row)
-    for k in table.basis_of(source=q.tgt[q.f[ab]]):
-        x = {k: field.one}
-        row = {}
-        for l, e in ((0, psi0), (1, psi1)):
-            for k2, cf in table.multiply(e, x).items():
-                row[(l, k2)] = cf
-        psi_rows.append(row)
-    meet = intersection_dim(phi_rows, psi_rows, field)
+    spans = []
+    for pair, arrow in (((phi0, phi1), q.f[al]), ((psi0, psi1), q.f[ab])):
+        rows = []
+        for k in table.basis_of(source=q.tgt[arrow]):
+            x = {k: field.one}
+            rows.append({(l, k2): cf for l, e in enumerate(pair)
+                         for k2, cf in table.multiply(e, x).items()})
+        spans.append(rows)
+    meet = intersection_dim(*spans, field)
 
     omega2 = ker1
     expected_omega2 = table.mn[q.f[al]] + table.mn[q.f[ab]] + 1

@@ -5,10 +5,14 @@ import pytest
 import surfalg as sa
 from surfalg.bimodule import (
     bimodule_spaces,
+    map_d,
+    map_d0,
+    map_R,
     map_S,
     map_theta,
     verify_bimodule_periodicity,
 )
+from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
 
@@ -17,6 +21,13 @@ import fixtures as fx
 # dims of the four bimodule terms and the ranks of all five maps
 DISC_DIMS = {"algebra": 36, "P0": 432, "P1": 864, "P2": 864, "P3": 432}
 DISC_RANKS = {"d0": 36, "d": 396, "R": 468, "S": 396, "theta": 36}
+
+# frozen oracles for the tetrahedral algebra (all parameters 1: singular;
+# a=2: non-singular)
+TETRA_DIMS = {"algebra": 36, "P0": 216, "P1": 432, "P2": 432, "P3": 216}
+SINGULAR_TETRA_RANKS = {"d0": 36, "d": 180, "R": 216}
+NONSINGULAR_TETRA_RANKS = {"d0": 36, "d": 180, "R": 252, "S": 180,
+                           "theta": 36}
 
 
 def test_bimodule_dims_formulas():
@@ -70,11 +81,47 @@ def test_bimodule_singular_tetrahedral_fails_named_stage():
     rep = verify_bimodule_periodicity(fx.tetrahedral_algebra())
     assert rep["verdict"] == "NOT_VERIFIED"
     assert rep["failing_stage"] == "exact_at_P1"
+    assert rep["dims"] == TETRA_DIMS
+    assert rep["ranks"] == SINGULAR_TETRA_RANKS
+    last = rep["stages"][-1]
+    assert (last["name"], last["rank"], last["expected"]) == (
+        "exact_at_P1", 216, 252)
 
 
 def test_bimodule_nonsingular_tetrahedral_passes():
     rep = verify_bimodule_periodicity(fx.tetrahedral_algebra(a=2))
     assert rep["verdict"] == "PERIODIC_PERIOD_4"
+    assert rep["dims"] == TETRA_DIMS
+    assert rep["ranks"] == NONSINGULAR_TETRA_RANKS
+
+
+def per_tensor_rank(bmap):
+    """Rank from the image of each basis tensor on its own, by block."""
+    t = bmap.table
+    one = t.field.one
+    blocks = {}
+    for s in range(len(bmap.domain.summands)):
+        for kx in bmap.domain.left[s]:
+            for ky in bmap.domain.right[s]:
+                row = bmap.apply_flat([(s, {kx: one}, {ky: one})])
+                if row:
+                    key = (t.src_of[kx], t.tgt_of[ky])
+                    blocks.setdefault(key, []).append(row)
+    return sum(rank_of_rows(rows, t.field) for rows in blocks.values())
+
+
+@pytest.mark.parametrize("build", [
+    fx.triangle_algebra, fx.deformed_triangle_f2, fx.tetrahedral_algebra,
+])
+def test_rank_matches_per_tensor_images(build):
+    # rank() forms one-sided products once per generator term; it must
+    # agree with the rows apply_flat gives each basis tensor
+    t = build()
+    p0, p1, p2, p3 = bimodule_spaces(t)
+    maps = [map_d0(t, p0), map_d(t, p0, p1), map_R(t, p1, p2),
+            map_S(t, p2, p3)]
+    for bmap in maps:
+        assert bmap.rank() == per_tensor_rank(bmap)
 
 
 def test_deformed_nonzero_border_needs_char_2():
