@@ -23,7 +23,9 @@ exact.  The symmetrizing form is checked on the sparse Gram matrix, whose
 nonzero entries lie in the blocks e_u A e_v x e_v A e_u.
 """
 
-from .fields import RationalField
+from fractions import Fraction
+
+from .fields import PrimeField, RationalField
 from .linalg import RowSolver, axpy, det_int, rank_of_rows
 from .quiver import border, g_structure, is_tetrahedral, skey
 
@@ -141,6 +143,7 @@ class AlgebraTable:
         self.right = {}
         self._build_right_table()
         self._bp = {}
+        self._gram = None
         self._dual = None
 
     def _src(self, b):
@@ -296,6 +299,39 @@ def build_algebra(pres):
     return AlgebraTable(pres)
 
 
+def reduced_presentation(pres, p):
+    """A presentation over Q with its parameters and border reduced mod p.
+
+    Returns the same quiver, kind and weights over F_p, with each
+    parameter c sent to c mod p and each border value b to b mod p.
+    Returns None unless every c is a p-unit and no denominator of a c or
+    a b is divisible by p.  The structure constants of the table are 1, c,
+    1/c and b/c (see ``AlgebraTable._build_right_table``), so they then lie
+    in the local ring Z_(p), and everything built from them by ring
+    operations over Q is p-integral and reduces mod p to what the same
+    construction gives over F_p.
+
+    Raises:
+        ValueError: unless the presentation is over Q.
+    """
+    if pres.field.char != 0:
+        raise ValueError("only presentations over Q are reduced mod p")
+
+    def mod_p(x):
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            return None
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    c = {rep: mod_p(val) for rep, val in pres.c.items()}
+    b = {v: mod_p(val) for v, val in pres.b.items()}
+    # a c that is None (p divides its denominator) or 0 is no p-unit
+    if not all(c.values()) or None in b.values():
+        return None
+    return Presentation(pres.quiver, kind=pres.kind, field=PrimeField(p),
+                        m=pres.m, c=c, b=b or None)
+
+
 def el_add(field, x, y):
     return axpy(dict(x), y.items(), field.one, field)
 
@@ -449,6 +485,13 @@ def gram_matrix(table, phi):
     return gram
 
 
+def _socle_gram(table):
+    """The Gram matrix of the symmetrizing form, built once per table."""
+    if table._gram is None:
+        table._gram = gram_matrix(table, symmetrizing_form(table))
+    return table._gram
+
+
 def verify_symmetrizing_form(table):
     """Check symmetry phi(xy) = phi(yx) on all basis pairs and nondegeneracy.
 
@@ -459,9 +502,8 @@ def verify_symmetrizing_form(table):
     the rank of G is the sum of its block ranks, and elimination never
     mixes two blocks.
     """
-    phi = symmetrizing_form(table)
     field = table.field
-    gram = gram_matrix(table, phi)
+    gram = _socle_gram(table)
     failure = None
     for i in range(table.dim):
         for j in table.by_pair.get((table.tgt_of[i], table.src_of[i]), ()):
@@ -492,7 +534,7 @@ def dual_basis(table):
     if table._dual is not None:
         return table._dual
     field = table.field
-    gram = gram_matrix(table, symmetrizing_form(table))
+    gram = _socle_gram(table)
     cols = [{} for _ in range(table.dim)]
     for i, row in enumerate(gram):
         for k, val in row.items():

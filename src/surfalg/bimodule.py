@@ -17,10 +17,17 @@ to be checked on generators.  A generator image sum (s2, u, v) sends the
 basis tensor kx (x) ky to sum kx.u (x) v.ky, so the rows of a rank matrix
 come from left products kx.u and right products v.ky, each computed once
 per generator term and basis element.
+
+Over Q the stage ranks are certified by ranks of the same rows reduced mod
+a fixed prime, and computed in Fraction arithmetic only when that falls
+short; see :func:`verify_bimodule_periodicity`.
 """
 
-from .algebra import dual_basis, el_scale
+from .algebra import build_algebra, dual_basis, el_scale, reduced_presentation
 from .linalg import axpy, rank_of_rows
+
+# Primes for the modular rank certificate over Q, tried in this order.
+CERTIFICATE_PRIMES = (2147483647, 2147483629)
 
 
 class BimoduleSpace:
@@ -319,6 +326,39 @@ def map_theta(table, p3):
     return {"xis": xis, "rank": rank}
 
 
+def _modular_ranks(table):
+    """Stage rank callables over the table reduced mod a prime, or None.
+
+    The prime is the first of CERTIFICATE_PRIMES for which
+    :func:`reduced_presentation` exists; with none, or over F_p, there is
+    no reduced table.  Each callable builds its map on first use through
+    the module-level ``map_*`` names.  The theta callable returns None when
+    the symmetrizing form degenerates mod p, so it never raises.
+    """
+    if table.field.char != 0:
+        return None
+    reductions = (reduced_presentation(table.pres, p)
+                  for p in CERTIFICATE_PRIMES)
+    pres = next((r for r in reductions if r is not None), None)
+    if pres is None:
+        return None
+    mod = build_algebra(pres)
+    p0, p1, p2, p3 = bimodule_spaces(mod)
+
+    def theta():
+        try:
+            rank = map_theta(mod, p3)["rank"]
+        except ValueError:
+            return None
+        return rank()
+
+    return {"d0": lambda: map_d0(mod, p0).rank(),
+            "d": lambda: map_d(mod, p0, p1).rank(),
+            "R": lambda: map_R(mod, p1, p2).rank(),
+            "S": lambda: map_S(mod, p2, p3).rank(),
+            "theta": theta}
+
+
 def verify_bimodule_periodicity(table):
     """Verify exactness of the period-four bimodule complex, stage by stage.
 
@@ -327,6 +367,33 @@ def verify_bimodule_periodicity(table):
     Casimir map theta identifies A with the kernel of S.  The report names
     the first failing stage, which distinguishes the singular tetrahedral
     algebras (not periodic) from all other weighted surface algebras.
+
+    Over Q each stage rank is first taken mod a prime p (the first of
+    CERTIFICATE_PRIMES that :func:`reduced_presentation` accepts), on the
+    same rows built from the table reduced mod p.  The result is exact:
+
+    * Upper bounds.  rank d0 <= dim A, its number of columns; rank theta
+      <= dim A, its number of rows.  For d, R and S the composite with the
+      previous map is checked to be zero exactly over Q (on generators,
+      which suffices for bimodule maps), so the image lies in the kernel
+      of the previous map and rank <= dim(codomain) - rank(previous),
+      the previous rank being exact already.  With a nonzero composite
+      there is no bound and the rank is computed over Q.
+    * Lower bound.  The structure constants 1, c, 1/c, b/c are p-integral
+      with p-units c, and the rows of every map are built from them by
+      ring operations, so each row over Q is p-integral and reduces to the
+      row over F_p.  The theta rows also use the dual basis; when the
+      Gram matrix is invertible mod p (else the reduced dual basis raises
+      and theta is computed over Q), its inverse over Q is p-integral and
+      reduces to the inverse mod p.  A nonzero minor mod p lifts to a
+      nonzero minor over Q, so rank over Q >= rank mod p.
+
+    So a rank mod p that meets its upper bound is the exact rank over Q.
+    A rank mod p that falls short is discarded, and the rank is computed
+    over Q: a failing stage, such as exact_at_P1 for the singular
+    tetrahedral algebras, always reports an exact rank.  The composite
+    checks and the theta elements used by the composite and socle checks
+    are always exact over Q.  Tables over F_p use their own field only.
 
     Raises:
         ValueError: unless the kind is weighted or deformed, or when a
@@ -340,8 +407,16 @@ def verify_bimodule_periodicity(table):
     dims = space_dims(table, (p0, p1, p2, p3))
     maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
             "R": map_R(table, p1, p2), "S": map_S(table, p2, p3)}
+    modular = _modular_ranks(table)
     stages = []
     ranks = {}
+
+    def rank(key, bound, exact):
+        """The exact rank of a stage: mod p when that meets the bound."""
+        if modular is not None and bound is not None \
+                and modular[key]() == bound:
+            return bound
+        return exact()
 
     def report(ok):
         failing = None if ok else next(
@@ -352,7 +427,7 @@ def verify_bimodule_periodicity(table):
             "failing_stage": failing,
         }
 
-    ranks["d0"] = maps["d0"].rank()
+    ranks["d0"] = rank("d0", table.dim, maps["d0"].rank)
     stages.append({"name": "d0_surjective", "ok": ranks["d0"] == table.dim,
                    "rank": ranks["d0"], "expected": table.dim})
     if not stages[-1]["ok"]:
@@ -365,8 +440,8 @@ def verify_bimodule_periodicity(table):
                                    ("exact_at_P2", "R", "S", p2)):
         comp = all(not maps[prev].apply_flat(img)
                    for img in maps[key].gen_images)
-        ranks[key] = maps[key].rank()
         expected = space.dim - ranks[prev]
+        ranks[key] = rank(key, expected if comp else None, maps[key].rank)
         stages.append({"name": name, "ok": comp and ranks[key] == expected,
                        "composite_zero": comp, "rank": ranks[key],
                        "expected": expected})
@@ -375,7 +450,7 @@ def verify_bimodule_periodicity(table):
 
     theta = map_theta(table, p3)
     comp = all(not maps["S"].apply_flat(theta["xis"][v]) for v in q.vertices)
-    ranks["theta"] = theta["rank"]()
+    ranks["theta"] = rank("theta", table.dim, theta["rank"])
     kernel_dim = p3.dim - ranks["S"]
     socle_seen = all(
         p3.flatten([(s, x, table.multiply(y, table.socle_element(v)))

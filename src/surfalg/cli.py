@@ -19,7 +19,7 @@ from . import modules as mods
 from . import quiver as qv
 from . import reptype as rep
 from . import surface as surf
-from .fields import field_from_json
+from .fields import FieldSizeError, field_from_json
 
 TOP_KEYS = {"quiver", "surface", "weights", "params", "border", "field", "kind"}
 
@@ -50,8 +50,12 @@ def parse_document(obj):
     if ("quiver" in obj) == ("surface" in obj):
         raise InputError(
             "the document needs exactly one of 'quiver' or 'surface'")
+    try:
+        field = field_from_json(obj.get("field", "Q"))
+    except FieldSizeError as exc:
+        raise InputError(str(exc)) from None
     doc = {
-        "field": field_from_json(obj.get("field", "Q")),
+        "field": field,
         "kind": obj.get("kind", "weighted"),
         "warnings": [],
     }
@@ -428,7 +432,7 @@ def _jsonable(value):
 def _default_max_dim():
     env = os.environ.get("SAW_MAX_DIM")
     if env is None:
-        return 5000
+        return 60000
     try:
         return int(env)
     except ValueError:
@@ -448,7 +452,7 @@ def build_parser():
                        help="seed for randomized searches (default 0)")
         p.add_argument("--max-dim", type=int, default=None,
                        help="largest bimodule dimension to attempt "
-                            "(default 5000, or SAW_MAX_DIM)")
+                            "(default 60000, or SAW_MAX_DIM)")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true",
                          help="compact JSON output (default)")

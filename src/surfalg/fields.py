@@ -82,21 +82,58 @@ class RationalField:
         return "RationalField()"
 
 
-def _is_prime(p):
-    if p < 2:
+# The first twelve primes: Miller-Rabin bases that decide n < 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# PrimeField accepts primes below this bound only.
+PRIME_LIMIT = 2 ** 64
+
+
+class FieldSizeError(ValueError):
+    """A prime field order at or above :data:`PRIME_LIMIT`."""
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24.
+
+    No composite below 3 317 044 064 679 887 385 961 981 is a strong
+    pseudoprime to all the bases 2..37, so the answer is exact there;
+    PrimeField only asks about n < 2**64.
+    """
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class PrimeField:
-    """The prime field F_p, elements represented as ints in ``0..p-1``."""
+    """The prime field F_p, elements represented as ints in ``0..p-1``.
+
+    Raises:
+        FieldSizeError: for p >= 2**64 (a ValueError).
+        ValueError: when p is not a prime integer.
+    """
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= PRIME_LIMIT:
+            raise FieldSizeError(
+                f"field order must be below 2**64, got {p!r}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"field order must be a prime integer, got {p!r}")
         self.p = p

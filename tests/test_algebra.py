@@ -205,6 +205,23 @@ def test_dual_basis_pairing():
         assert_dual_pairing(t)
 
 
+def test_gram_matrix_built_once_per_table(monkeypatch):
+    calls = []
+    build = sa.algebra.gram_matrix
+
+    def counted(table, phi):
+        calls.append(table)
+        return build(table, phi)
+
+    monkeypatch.setattr(sa.algebra, "gram_matrix", counted)
+    t = fx.triangle_algebra(m=3)
+    rep = sa.verify_symmetrizing_form(t)
+    assert rep["symmetric"] and rep["nondegenerate"]
+    assert len(sa.dual_basis(t)) == t.dim
+    assert len(calls) == 1
+    assert_dual_pairing(t)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.data())
 def test_dual_basis_pairing_random(data):

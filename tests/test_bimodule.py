@@ -1,9 +1,17 @@
 """Bimodule resolution of the algebra over its enveloping algebra."""
 
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
+import surfalg.bimodule as bim
 from surfalg.bimodule import (
+    CERTIFICATE_PRIMES,
+    BimoduleMap,
     bimodule_spaces,
     map_d,
     map_d0,
@@ -12,6 +20,7 @@ from surfalg.bimodule import (
     map_theta,
     verify_bimodule_periodicity,
 )
+from surfalg.fields import PrimeField
 from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
@@ -166,3 +175,115 @@ def test_casimir_socle_pairing_nonzero():
         soc = t.socle_element(v)
         flat = p3.flatten([(s, x, t.multiply(y, soc)) for s, x, y in xi])
         assert flat, v
+
+
+# -- the modular rank certificate over Q ---------------------------------
+
+
+def exact_report(table):
+    """The report with the certificate off: every rank over Q."""
+    with mock.patch.object(bim, "reduced_presentation",
+                           lambda pres, p: None):
+        return verify_bimodule_periodicity(table)
+
+
+@contextmanager
+def recorded(owner, name, field_of):
+    """Record field_of(args) for every call of owner.name."""
+    seen = []
+    orig = getattr(owner, name)
+
+    def wrapper(*args):
+        seen.append(field_of(*args))
+        return orig(*args)
+
+    with mock.patch.object(owner, name, wrapper):
+        yield seen
+
+
+def rank_fields():
+    """Fields of the rows that reach the bimodule block ranks."""
+    return recorded(bim, "rank_of_rows", lambda rows, field: field)
+
+
+def assert_certified_equal(table, prime):
+    with rank_fields() as fields:
+        rep = verify_bimodule_periodicity(table)
+    assert fields and set(fields) == {PrimeField(prime)}
+    assert rep == exact_report(table)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(fx.ALL_QUIVERS))
+def test_certificate_matches_exact_path(name):
+    t = fx.weighted(fx.ALL_QUIVERS[name](), m=fx.MIN_WEIGHTS[name])
+    assert verify_bimodule_periodicity(t) == exact_report(t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_certificate_matches_exact_path_random(data):
+    name = data.draw(st.sampled_from(sorted(fx.ALL_QUIVERS)))
+    q = fx.ALL_QUIVERS[name]()
+    low = fx.MIN_WEIGHTS[name]
+    m, c = {}, {}
+    for o in sa.g_structure(q).orbits:
+        least = max(low.get(a, 1) for a in o)
+        m[o[0]] = data.draw(st.integers(least, max(least, 2)))
+        num = data.draw(st.integers(1, 9)) * data.draw(st.sampled_from((1, -1)))
+        c[o[0]] = Fraction(num, data.draw(st.integers(1, 9)))
+    t = fx.weighted(q, m=m, c=c)
+    assert verify_bimodule_periodicity(t) == exact_report(t)
+
+
+def test_certificate_deformed_over_q_with_zero_border():
+    zero = sa.QQ.zero
+    t = sa.build_algebra(sa.Presentation(
+        fx.triangle_quiver(), kind="deformed", field=sa.QQ,
+        b={1: zero, 2: zero, 3: zero}))
+    rep = assert_certified_equal(t, CERTIFICATE_PRIMES[0])
+    assert rep["ranks"] == DISC_RANKS
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+def test_certificate_skips_a_prime_the_parameters_need(inverted):
+    # c = p is 0 mod the first prime p; c = 1/p has p in its denominator
+    p = CERTIFICATE_PRIMES[0]
+    c = Fraction(1, p) if inverted else Fraction(p)
+    t = fx.weighted(fx.triangle_quiver(), c={"alpha": c})
+    rep = assert_certified_equal(t, CERTIFICATE_PRIMES[1])
+    assert rep["verdict"] == "PERIODIC_PERIOD_4"
+
+
+def test_certificate_falls_back_when_no_prime_fits():
+    c = Fraction(CERTIFICATE_PRIMES[0] * CERTIFICATE_PRIMES[1])
+    t = fx.weighted(fx.triangle_quiver(), c={"alpha": c})
+    with rank_fields() as fields:
+        rep = verify_bimodule_periodicity(t)
+    assert set(fields) == {sa.QQ}
+    assert rep["ranks"] == DISC_RANKS
+
+
+def test_certificate_singular_tetrahedral_recomputes_R_exactly():
+    t = fx.tetrahedral_algebra()
+    with recorded(BimoduleMap, "rank", lambda bmap: bmap.table.field) \
+            as fields:
+        rep = verify_bimodule_periodicity(t)
+    # d0 and d meet their bounds mod p; R falls short and runs over Q
+    p = PrimeField(CERTIFICATE_PRIMES[0])
+    assert fields == [p, p, p, sa.QQ]
+    assert rep["ranks"] == SINGULAR_TETRA_RANKS
+    assert rep["failing_stage"] == "exact_at_P1"
+    last = rep["stages"][-1]
+    assert (last["rank"], last["expected"]) == (216, 252)
+
+
+def test_certificate_fast_path_taken():
+    # a silent fallback to Q would pass every equality test above
+    t = fx.triangle_algebra(m=2)
+    with rank_fields() as fields:
+        rep = verify_bimodule_periodicity(t)
+    assert rep["verdict"] == "PERIODIC_PERIOD_4"
+    assert len(rep["ranks"]) == 5
+    assert fields and all(f == PrimeField(CERTIFICATE_PRIMES[0])
+                          for f in fields)

@@ -211,6 +211,22 @@ def test_max_dim_gate(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_default_max_dim_admits_triangle_m4(tmp_path, capsys, monkeypatch):
+    # P1 = P2 = 13 824 at weight 4, under the default limit of 60 000
+    monkeypatch.delenv("SAW_MAX_DIM", raising=False)
+    path = write_doc(tmp_path, triangle_doc(weights={"alpha": 4}))
+    code, rep, _ = run_json(capsys, ["verify-bimodule-periodicity", path])
+    assert code == 0
+    assert rep["result"]["dims"]["P1"] == 13824
+
+
+def test_field_order_over_2_64_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, triangle_doc(field={"Fp": 2 ** 64 + 13}))
+    code, out, err = run(capsys, ["dims", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_uniserial_check(tmp_path, capsys):
     path = write_doc(tmp_path, tetrahedral_doc())
     code, rep, _ = run_json(capsys, ["uniserial-check", path])

@@ -1,12 +1,13 @@
 """Exact scalar fields and the sparse linear algebra kernel."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import surfalg as sa
-from surfalg.fields import PrimeField
+from surfalg.fields import PrimeField, _is_prime
 from surfalg.linalg import (
     RowSolver,
     axpy,
@@ -57,6 +58,33 @@ def test_prime_field_inverse_property(p, a):
     x = a % p
     if x:
         assert F.mul(x, F.inv(x)) == 1
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    for n in range(10 ** 4):
+        assert _is_prime(n) == trial(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7; 561 is
+    # the least Carmichael number
+    assert not _is_prime(3215031751)
+    assert not _is_prime(561)
+    assert _is_prime(2147483647) and _is_prime(2147483629)
+
+
+def test_prime_field_large_orders():
+    t0 = time.perf_counter()
+    F = PrimeField(10 ** 18 + 3)
+    assert time.perf_counter() - t0 < 0.01
+    assert F.mul(F.inv(12345), 12345) == 1
+    with pytest.raises(ValueError):
+        PrimeField(10 ** 18 + 5)
+    for too_big in (2 ** 64 + 13, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            PrimeField(too_big)
 
 
 def test_field_from_json():
