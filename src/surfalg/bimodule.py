@@ -16,7 +16,11 @@ generators e (x) e and extended bilinearly, so composites only ever need
 to be checked on generators.  A generator image sum (s2, u, v) sends the
 basis tensor kx (x) ky to sum kx.u (x) v.ky, so the rows of a rank matrix
 come from left products kx.u and right products v.ky, each computed once
-per generator term and basis element.
+per generator term and basis element.  The flat column of a basis tensor
+of P_i is a left part (from kx) plus a right part (from ky), so each
+product is turned into integer columns once, and a row is a sum of outer
+sums of such columns.  The codomain A of d0 multiplies instead.  The rank
+of d0 is read off its unit rows e_u (x) k -> k when they reach dim A.
 
 Over Q the stage ranks are certified by ranks of the same rows reduced mod
 a fixed prime, and computed in Fraction arithmetic only when that falls
@@ -24,14 +28,41 @@ short; see :func:`verify_bimodule_periodicity`.
 """
 
 from .algebra import build_algebra, dual_basis, el_scale, reduced_presentation
-from .linalg import axpy, rank_of_rows
+from .linalg import rank_of_rows
 
-# Primes for the modular rank certificate over Q, tried in this order.
-CERTIFICATE_PRIMES = (2147483647, 2147483629)
+# Primes for the modular rank certificate over Q, tried in this order: the
+# two largest primes below 2**30.  A residue below 2**30 is one digit of a
+# CPython int, so the F_p arithmetic of the certificate takes the
+# interpreter's one-digit paths.  Any prime is as sound.
+CERTIFICATE_PRIMES = (1073741789, 1073741783)
 
 
-class BimoduleSpace:
-    """A direct sum of projective bimodules A e_i (x) e_j A."""
+class Codomain:
+    """Flat coordinates of tensors, split into a left and a right part.
+
+    A codomain gives ``left_coords(s, x)`` and ``right_coords(s, y)`` for
+    tensors x (x) y of summand s, and ``add_tensor(row, lc, rc)`` adds the
+    tensor they came from to a flat row; ``dim`` is the number of flat
+    columns.  Callers that meet the same left or right factor many times
+    compute its part once.
+    """
+
+    def flatten(self, terms):
+        """Flat coordinates of a list of (summand, left, right) tensors."""
+        out = {}
+        for s, x, y in terms:
+            self.add_tensor(out, self.left_coords(s, x),
+                            self.right_coords(s, y))
+        return out
+
+
+class BimoduleSpace(Codomain):
+    """A direct sum of projective bimodules A e_i (x) e_j A.
+
+    Basis tensor kx (x) ky of summand s sits at flat column ``offsets[s] +
+    left_pos[s][kx] * len(right[s]) + right_pos[s][ky]``: a left part that
+    depends on kx only plus a right part that depends on ky only.
+    """
 
     def __init__(self, table, summands):
         self.table = table
@@ -53,35 +84,43 @@ class BimoduleSpace:
             off += len(lb) * len(rb)
         self.dim = off
 
-    def flatten(self, terms):
-        """Flat coordinates of a list of (summand, left, right) tensors.
+    def left_coords(self, s, x):
+        """(left part of the column, scalar) for each basis term of x."""
+        base, nr, lpos = self.offsets[s], len(self.right[s]), self.left_pos[s]
+        return [(base + lpos[k] * nr, c) for k, c in x.items()]
 
-        Basis tensor kx (x) ky of summand s sits at ``offsets[s] +
-        left_pos[s][kx] * len(right[s]) + right_pos[s][ky]``.
-        """
-        field = self.table.field
-        out = {}
-        for s, x, y in terms:
-            nr, lpos = len(self.right[s]), self.left_pos[s]
-            ys = [(self.right_pos[s][ky], cy) for ky, cy in y.items()]
-            for kx, cx in x.items():
-                base = self.offsets[s] + lpos[kx] * nr
-                axpy(out, [(base + p, cy) for p, cy in ys], cx, field)
-        return out
+    def right_coords(self, s, y):
+        """(right part of the column, scalar) for each basis term of y."""
+        rpos = self.right_pos[s]
+        return [(rpos[k], c) for k, c in y.items()]
+
+    def add_tensor(self, row, lc, rc):
+        """row += the tensor whose parts are lc and rc: an outer sum."""
+        axpy = self.table.field.axpy
+        for a, c in lc:
+            axpy(row, [(a + b, d) for b, d in rc], c)
 
 
-class AlgebraTarget:
-    """The algebra A as a codomain: a tensor x (x) y flattens to x . y."""
+class AlgebraTarget(Codomain):
+    """The algebra A as a codomain: a tensor x (x) y flattens to x . y.
+
+    The product does not split into a left and a right column, so the
+    parts are the factors themselves and ``add_tensor`` multiplies them.
+    """
 
     def __init__(self, table):
         self.table = table
+        self.dim = table.dim
 
-    def flatten(self, terms):
+    def left_coords(self, s, x):
+        return x
+
+    def right_coords(self, s, y):
+        return y
+
+    def add_tensor(self, row, x, y):
         field = self.table.field
-        out = {}
-        for _, x, y in terms:
-            axpy(out, self.table.multiply(x, y).items(), field.one, field)
-        return out
+        field.axpy(row, self.table.multiply(x, y).items(), field.one)
 
 
 def block_rank(keyed_rows, field):
@@ -107,8 +146,8 @@ class BimoduleMap:
     """A bimodule homomorphism, given by the images of summand generators.
 
     ``gen_images[s]`` is the image of e (x) e of summand s, a list of pure
-    tensors (s2, u, v) in the codomain.  The codomain is anything with a
-    ``flatten`` of such tensors: a BimoduleSpace, or A as AlgebraTarget.
+    tensors (s2, u, v) in the codomain.  The codomain is a
+    :class:`Codomain`: a BimoduleSpace, or A as AlgebraTarget.
     """
 
     def __init__(self, domain, codomain, gen_images):
@@ -127,33 +166,55 @@ class BimoduleMap:
     def rank(self):
         """Rank of the matrix whose rows are the images of basis tensors.
 
-        The left products kx.u are formed once per (kx, term) and the right
-        products v.ky once per (term, ky); terms with kx.u = 0 are dropped
-        before the rows of kx are flattened.
+        The unit rows, images of e_i (x) ky with e_i the left idempotent
+        of the summand, are some of the rows, so their rank bounds the
+        rank from below; the number of columns, ``codomain.dim``, bounds
+        it from above.  So when there are at least as many unit rows as
+        columns, their rank is tried first, and if it reaches
+        ``codomain.dim`` it is the rank.  Otherwise every row is used.
+        This decides d0 (P0 -> A) from dim A rows: its unit rows
+        e_u (x) k -> k, for k in e_u A, are the basis of A.  The other
+        maps have far fewer unit rows than columns and skip the first try.
         """
-        table = self.table
+        table, cols = self.table, self.codomain.dim
+        dom = self.domain
+        if sum(map(len, dom.right)) >= cols:
+            units = [[table.index[("e", i)]] for i, _ in dom.summands]
+            r = block_rank(self._keyed_rows(units), table.field)
+            if r == cols:
+                return r
+        return block_rank(self._keyed_rows(dom.left), table.field)
+
+    def _keyed_rows(self, lefts):
+        """(block key, row) for the basis tensors kx (x) ky, kx in lefts[s].
+
+        Term (s2, u, v) of generator s sends kx (x) ky to kx.u (x) v.ky.
+        The right coordinates of v.ky are formed once per (term, ky) and
+        the left coordinates of kx.u once per (kx, term); terms with
+        kx.u = 0 are dropped, and a row is the sum over the remaining
+        terms of the outer sums of the two columns.
+        """
+        table, cod = self.table, self.codomain
         mul, one = table.multiply, table.field.one
-
-        def keyed_rows():
-            for s, terms in enumerate(self.gen_images):
-                right = self.domain.right[s]
-                vys = [[mul(v, {ky: one}) for ky in right]
-                       for _, _, v in terms]
-                for kx in self.domain.left[s]:
-                    xus = []
-                    for (s2, u, _), vy in zip(terms, vys):
-                        xu = mul({kx: one}, u)
-                        if xu:
-                            xus.append((s2, xu, vy))
-                    if not xus:
-                        continue
-                    for p, ky in enumerate(right):
-                        yield ((table.src_of[kx], table.tgt_of[ky]),
-                               self.codomain.flatten([(s2, xu, vy[p])
-                                                      for s2, xu, vy in xus
-                                                      if vy[p]]))
-
-        return block_rank(keyed_rows(), table.field)
+        for s, terms in enumerate(self.gen_images):
+            right = self.domain.right[s]
+            rcs = [[cod.right_coords(s2, mul(v, {ky: one})) for ky in right]
+                   for s2, _, v in terms]
+            for kx in lefts[s]:
+                lcs = []
+                for (s2, u, _), rc in zip(terms, rcs):
+                    xu = mul({kx: one}, u)
+                    if xu:
+                        lcs.append((cod.left_coords(s2, xu), rc))
+                if not lcs:
+                    continue
+                src = table.src_of[kx]
+                for p, ky in enumerate(right):
+                    row = {}
+                    for lc, rc in lcs:
+                        if rc[p]:
+                            cod.add_tensor(row, lc, rc[p])
+                    yield (src, table.tgt_of[ky]), row
 
 
 def bimodule_spaces(table):
@@ -310,18 +371,27 @@ def map_theta(table, p3):
     """A -> P3, e_v to xi_v; its image is the kernel of S.
 
     Not a BimoduleMap (its domain is A): basis element k of e_v A goes to
-    xi_v . k, and ``rank`` sums the block ranks of those rows.
+    xi_v . k, and ``rank`` sums the block ranks of those rows.  The left
+    coordinates of each term of xi_v are formed once per term.
     """
     field = table.field
     xis = {v: xi_element(table, v) for v in table.quiver.vertices}
 
     def rank():
-        one = field.one
-        return block_rank(
-            (((table.src_of[k], table.tgt_of[k]),
-              p3.flatten([(s, x, table.multiply(y, {k: one}))
-                          for s, x, y in xis[table.src_of[k]]]))
-             for k in range(table.dim)), field)
+        mul, one = table.multiply, field.one
+        lcs = {v: [(s, p3.left_coords(s, x), y) for s, x, y in xi]
+               for v, xi in xis.items()}
+
+        def keyed_rows():
+            for k in range(table.dim):
+                row = {}
+                for s, lc, y in lcs[table.src_of[k]]:
+                    yk = mul(y, {k: one})
+                    if yk:
+                        p3.add_tensor(row, lc, p3.right_coords(s, yk))
+                yield (table.src_of[k], table.tgt_of[k]), row
+
+        return block_rank(keyed_rows(), field)
 
     return {"xis": xis, "rank": rank}
 

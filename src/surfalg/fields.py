@@ -3,6 +3,11 @@
 Every scalar in this package is either a ``fractions.Fraction`` (over the
 rationals) or a plain ``int`` in ``0..p-1`` (over a prime field).  No
 floating point is used anywhere.
+
+Each field also owns the package's one sparse-row kernel, ``axpy``, with
+its arithmetic written inline: it is the inner loop of element products
+and of elimination, where a call of ``add``/``mul`` per entry would cost
+more than the arithmetic itself.
 """
 
 from fractions import Fraction
@@ -29,6 +34,24 @@ class RationalField:
 
     def neg(self, a):
         return -a
+
+    def axpy(self, dst, pairs, s):
+        """In place ``dst += s * src``, src given as (key, scalar) pairs.
+
+        Entries that cancel are removed and no zero is stored.  A new entry
+        is ``s * v`` itself, with no addition to a zero.  Returns dst.
+        """
+        get = dst.get
+        for c, v in pairs:
+            w = s * v
+            old = get(c)
+            if old is not None:
+                w += old
+            if w:
+                dst[c] = w
+            else:
+                dst.pop(c, None)
+        return dst
 
     def inv(self, a):
         if a == 0:
@@ -153,6 +176,22 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
+
+    def axpy(self, dst, pairs, s):
+        """In place ``dst += s * src``, src given as (key, scalar) pairs.
+
+        Entries that cancel are removed and no zero is stored; each new
+        value is reduced mod p once.  Returns dst.
+        """
+        p = self.p
+        get = dst.get
+        for c, v in pairs:
+            w = (get(c, 0) + s * v) % p
+            if w:
+                dst[c] = w
+            else:
+                dst.pop(c, None)
+        return dst
 
     def inv(self, a):
         a %= self.p

@@ -1,10 +1,14 @@
 """Exact sparse linear algebra over a field: the package's only matrix layer.
 
 A *row* is a dict mapping column keys to nonzero scalars, and a matrix is a
-list of rows.  Column keys can be any hashable, sortable-by-str values;
-elimination picks pivots deterministically, so every routine here is
-reproducible run to run.  Algebra elements are sparse rows over basis
-indices, so :func:`axpy` is also the one loop behind element arithmetic.
+list of rows.  Column keys can be any hashable, sortable-by-str values.
+There are two elimination routines: :func:`rank_of_rows` counts pivots and
+nothing else, and :class:`RowSolver` also tracks how each echelon row
+combines the inputs, for membership, solving and left kernels.  Both pick
+pivots deterministically, so every routine here is reproducible run to
+run.  Algebra elements are sparse rows over basis indices, so
+:func:`axpy`, which hands the loop to the field's own kernel, is also the
+one loop behind element arithmetic.
 """
 
 
@@ -18,14 +22,7 @@ def axpy(dst, pairs, s, field):
     Entries that cancel are removed, so ``dst`` stays a sparse row with
     nonzero values only.  Returns dst.
     """
-    zero = field.zero
-    for c, v in pairs:
-        w = field.add(dst.get(c, zero), field.mul(s, v))
-        if w == zero:
-            dst.pop(c, None)
-        else:
-            dst[c] = w
-    return dst
+    return field.axpy(dst, pairs, s)
 
 
 def rows_mul(a, b, field):
@@ -124,8 +121,32 @@ class RowSolver:
 
 
 def rank_of_rows(rows, field):
-    """Rank of the span of sparse rows, by deterministic elimination."""
-    return RowSolver(rows, field).rank
+    """Rank of the span of sparse rows, by rank-only elimination.
+
+    Each row is reduced against the pivot rows found so far, and a row
+    that does not vanish adds one pivot: its first column in dict order,
+    with the row scaled to 1 there.  Any nonzero entry is a valid pivot
+    for counting, and dict order follows the order the row's entries were
+    made in, so the choice is deterministic.  No row is modified, and no
+    transform is kept: the rank equals ``RowSolver(rows, field).rank``.
+    """
+    axpy_, inv, neg = field.axpy, field.inv, field.neg
+    pivots = {}  # pivot column -> pivot row, 1 at the pivot column
+    for row in rows:
+        r = row
+        while r:
+            for c in r:
+                pr = pivots.get(c)
+                if pr is not None:
+                    break
+            else:
+                c = next(iter(r))
+                pivots[c] = axpy_({}, r.items(), inv(r[c]))
+                break
+            if r is row:
+                r = dict(row)
+            axpy_(r, pr.items(), neg(r[c]))
+    return len(pivots)
 
 
 def det_int(mat):

@@ -11,6 +11,7 @@ import surfalg as sa
 import surfalg.bimodule as bim
 from surfalg.bimodule import (
     CERTIFICATE_PRIMES,
+    AlgebraTarget,
     BimoduleMap,
     bimodule_spaces,
     map_d,
@@ -131,6 +132,65 @@ def test_rank_matches_per_tensor_images(build):
             map_S(t, p2, p3)]
     for bmap in maps:
         assert bmap.rank() == per_tensor_rank(bmap)
+
+
+def rows_seen():
+    """Record the number of rows of every bimodule block rank."""
+    return recorded(bim, "rank_of_rows", lambda rows, field: len(rows))
+
+
+def test_d0_rank_from_unit_rows():
+    # the unit rows e_u (x) k -> k already span A, so d0 eliminates dim A
+    # rows and no more
+    t = fx.triangle_algebra(m=2)
+    p0 = bimodule_spaces(t)[0]
+    with rows_seen() as sizes:
+        assert map_d0(t, p0).rank() == t.dim
+    assert sum(sizes) == t.dim
+
+
+def test_unit_row_shortcut_falls_back_to_all_rows():
+    # P0 -> A with e_v (x) e_v -> the loop at v: the unit rows loop . k fall
+    # short of dim A, so every row counts, and the rank is that of all rows
+    t = fx.triangle_algebra()
+    q = t.quiver
+    p0 = bimodule_spaces(t)[0]
+    loops = [t.arrow_element(next(a for a in q.out_arrows(v)
+                                  if q.tgt[a] == v)) for v in q.vertices]
+    bmap = BimoduleMap(p0, AlgebraTarget(t),
+                       [[(None, t.idempotent(v), z)]
+                        for v, z in zip(q.vertices, loops)])
+    one = t.field.one
+    units = [t.multiply(z, {k: one})
+             for v, z in zip(q.vertices, loops) for k in t.basis_of(source=v)]
+    assert bmap.rank() == per_tensor_rank(bmap)
+    assert rank_of_rows(units, t.field) < bmap.rank() < t.dim
+
+
+def per_element_theta_rank(table, p3, xis):
+    """Rank of theta from p3.flatten of xi_v . k for each basis element k."""
+    one = table.field.one
+    blocks = {}
+    for k in range(table.dim):
+        xi = xis[table.src_of[k]]
+        row = p3.flatten([(s, x, table.multiply(y, {k: one}))
+                          for s, x, y in xi])
+        if row:
+            key = (table.src_of[k], table.tgt_of[k])
+            blocks.setdefault(key, []).append(row)
+    return sum(rank_of_rows(rows, table.field) for rows in blocks.values())
+
+
+@pytest.mark.parametrize("build", [
+    fx.triangle_algebra, fx.deformed_triangle_f2, fx.tetrahedral_algebra,
+])
+def test_theta_rank_matches_per_element_rows(build):
+    # theta's rows come from coordinates formed once per term of xi_v; they
+    # must agree with flattening xi_v . k for each basis element k
+    t = build()
+    _, _, _, p3 = bimodule_spaces(t)
+    theta = map_theta(t, p3)
+    assert theta["rank"]() == per_element_theta_rank(t, p3, theta["xis"])
 
 
 def test_deformed_nonzero_border_needs_char_2():

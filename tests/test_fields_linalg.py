@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 from surfalg.fields import PrimeField, _is_prime
@@ -175,3 +175,97 @@ def test_prime_field_linear_algebra():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
     # third row is the sum of the first two over F2
     assert rank_of_rows(rows, F) == 2
+
+
+# -- the per-field kernels and rank-only elimination ----------------------
+
+KERNEL_FIELDS = (sa.QQ, PrimeField(2), PrimeField(101),
+                 PrimeField(1073741789))
+
+
+def scalar(field, num, den):
+    """A scalar of the field from small integers; den is odd, so a unit."""
+    if field.char == 0:
+        return Fraction(num, den)
+    return field.div(field.of_int(num), field.of_int(den))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(field, rows) with duplicate rows and rows that cancel to zero."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    tuple_keys = draw(st.booleans())
+    small = st.integers(-3, 3)
+
+    def col(k):
+        return ("w", k % 3, k) if tuple_keys else k
+
+    def entry():
+        return scalar(field, draw(small), draw(st.sampled_from((1, 3, 5))))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        choice = draw(st.sampled_from(("new", "copy", "combo")))
+        if choice == "new" or not rows:
+            row = {}
+            for k in draw(st.lists(st.integers(0, 7), max_size=5)):
+                field.axpy(row, [(col(k), entry())], field.one)
+            rows.append(row)
+        elif choice == "copy":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            # a combination of earlier rows: it reduces to zero, and its
+            # entries may cancel outright
+            row = {}
+            for _ in range(draw(st.integers(1, 3))):
+                field.axpy(row, draw(st.sampled_from(rows)).items(), entry())
+            rows.append(row)
+    return field, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_rank_of_rows_matches_row_solver(case):
+    field, rows = case
+    before = [dict(r) for r in rows]
+    assert rank_of_rows(rows, field) == RowSolver(rows, field).rank
+    assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_field_axpy_matches_add_and_mul(field, data):
+    # the kernel against entrywise field.add/field.mul; a key may repeat
+    # within pairs, so entries can cancel inside one call
+    def value():
+        return scalar(field, data.draw(st.integers(-3, 3)),
+                      data.draw(st.sampled_from((1, 3, 5))))
+
+    keys = st.integers(0, 4)
+    dst = {}
+    for k in data.draw(st.lists(keys, max_size=4)):
+        v = value()
+        if v != field.zero:
+            dst[k] = v
+    pairs = [(k, value()) for k in data.draw(st.lists(keys, max_size=6))]
+    s = value()
+    want = dict(dst)
+    for k, v in pairs:
+        want[k] = field.add(want.get(k, field.zero), field.mul(s, v))
+    want = {k: v for k, v in want.items() if v != field.zero}
+    got = field.axpy(dst, pairs, s)
+    assert got is dst
+    assert got == want
+    assert all(v != field.zero for v in got.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_field_axpy_drops_cancelled_entries(field):
+    one = field.one
+    dst = {0: one, 1: one}
+    assert field.axpy(dst, [(0, one), (2, one)], field.neg(one)) == \
+        {1: one, 2: field.neg(one)}
+    assert field.axpy({}, [(0, one)], field.zero) == {}
+    assert field.axpy({0: one}, [(0, one), (0, field.neg(one))], one) == \
+        {0: one}
+    assert axpy({0: one}, [(0, one)], field.neg(one), field) == {}
