@@ -18,9 +18,12 @@ Elements are stored in the monomial basis: one idempotent per vertex, the
 g-words of each admissible length, and (except for ``string``) one socle
 element per vertex.  An element is a sparse dict basis index -> nonzero
 scalar, and all element arithmetic goes through :func:`linalg.axpy`.
-Multiplication is given by a closed-form table, so all computations are
-exact.  The symmetrizing form is checked on the sparse Gram matrix, whose
-nonzero entries lie in the blocks e_u A e_v x e_v A e_u.
+The product of two basis elements is read off in closed form, one lookup
+in the table of right products by an arrow and one g-orbit test, at a cost
+that does not grow with the weight; all computations are exact.  The
+symmetrizing form is checked on the sparse Gram matrix, which has at most
+two nonzero entries per row, at the socle partners of each basis element,
+so the Gram matrix, its symmetry and its rank cost O(dim).
 """
 
 from fractions import Fraction
@@ -120,13 +123,15 @@ class AlgebraTable:
         q = self.quiver
         self.mn = {a: pres.weight_of(a) * self.gd.n[a] for a in q.arrows}
         self.c = {a: pres.param_of(a) for a in q.arrows}
+        self.c_inv = {a: self.field.inv(c) for a, c in self.c.items()}
         self.basis = []
         for v in q.vertices:
             self.basis.append(("e", v))
-        top = 2 if pres.kind == "string" else 1
+        # the longest word has length mn - top
+        self.top = 2 if pres.kind == "string" else 1
         words = []
         for a in q.arrows:
-            for length in range(1, self.mn[a] - top + 1):
+            for length in range(1, self.mn[a] - self.top + 1):
                 words.append(("w", a, length))
         words.sort(key=lambda w: (skey(self.gd.rep[w[1]]), skey(w[1]), w[2]))
         self.basis.extend(words)
@@ -171,7 +176,6 @@ class AlgebraTable:
     def _build_right_table(self):
         field = self.field
         q = self.quiver
-        string = self.kind == "string"
         for i, b in enumerate(self.basis):
             if b[0] == "e":
                 for a in q.out_arrows(b[1]):
@@ -185,15 +189,11 @@ class AlgebraTable:
             fx = q.f[last]
             mn = self.mn[a]
             # Extension along g: the word grows, tops out, or hits the socle.
-            if string:
-                if length + 1 <= mn - 2:
-                    self.right[(i, gx)] = ((self.index[("w", a, length + 1)], field.one),)
-            else:
-                if length + 1 <= mn - 1:
-                    self.right[(i, gx)] = ((self.index[("w", a, length + 1)], field.one),)
-                else:
-                    soc = self.index[("s", q.src[a])]
-                    self.right[(i, gx)] = ((soc, field.inv(self.c[a])),)
+            if length + 1 <= mn - self.top:
+                self.right[(i, gx)] = ((self.index[("w", a, length + 1)], field.one),)
+            elif self.kind != "string":
+                soc = self.index[("s", q.src[a])]
+                self.right[(i, gx)] = ((soc, self.c_inv[a]),)
             # Extension along f: zero except from single arrows in the
             # weighted and deformed algebras.
             if length == 1 and self.kind in ("weighted", "deformed"):
@@ -203,7 +203,7 @@ class AlgebraTable:
                     bb = self.pres.b.get(q.src[a], field.zero)
                     if bb != field.zero:
                         soc = self.index[("s", q.src[a])]
-                        terms.append((soc, field.mul(bb, field.inv(self.c[ab]))))
+                        terms.append((soc, field.mul(bb, self.c_inv[ab])))
                 if fx == gx:
                     raise AssertionError("g- and f-extensions must differ")
                 self.right[(i, fx)] = tuple(terms)
@@ -219,22 +219,70 @@ class AlgebraTable:
         return self.c[a], self.word_arrows(a, self.mn[a])
 
     def basis_product(self, i, j):
-        """Product of basis elements i and j, as a tuple of (index, scalar)."""
+        """Product of basis elements i and j, as a tuple of (index, scalar).
+
+        The product is read off in closed form, at a cost independent of
+        the weights, not walked arrow by arrow.  Why this equals ``_walk``
+        on the word of b_j (the oracle of the tests):
+
+        * an idempotent factor gives the other factor, and a socle factor
+          next to any non-idempotent gives 0: no arrow extends the socle
+          on the right, and a word times the full cycle of s_v would pass
+          length mn;
+        * otherwise b_i is a word and b_j = w(a, l).  One lookup of
+          ``right[(i, a)]`` gives at most two terms (the g- or the
+          f-extension of b_i by a).  Every word term has length at least
+          2, because b_i has length at least 1 and an f-extension gives
+          w(abar, mn - 1) with mn >= 3.  The right table extends a word of
+          length k >= 2 only along g, by its g-successor g^k(y), so a term
+          w(y, k) meets the next arrow g(a) only if g^k(y) = g(a), and then
+          every further arrow of b_j is again the g-successor.  The term
+          grows to length L = k + l - 1: a word while L <= mn - top, at
+          L = mn the socle times c_y^-1 (one extension past the last word,
+          except for ``string``, which stops there), and 0 beyond.  A socle
+          term is killed by any further arrow, so it survives only when
+          l = 1.
+        """
         key = (i, j)
         cached = self._bp.get(key)
         if cached is not None:
             return cached
         field = self.field
-        bj = self.basis[j]
+        bi, bj = self.basis[i], self.basis[j]
         if self.tgt_of[i] != self.src_of[j]:
             result = ()
         elif bj[0] == "e":
             result = ((i, field.one),)
+        elif bi[0] == "e":
+            result = ((j, field.one),)
+        elif bi[0] == "s" or bj[0] == "s":
+            result = ()
         else:
-            scale, arrows = self.chain(j)
-            result = tuple(sorted(self._walk({i: scale}, arrows).items()))
+            a, length = bj[1], bj[2]
+            terms = self.right.get((i, a), ())
+            if length > 1:
+                terms = [self._continue(t, a, length) for t in terms]
+                terms = [t for t in terms if t is not None]
+            result = tuple(sorted(terms))
         self._bp[key] = result
         return result
+
+    def _continue(self, term, a, length):
+        """A term of b_i a times g(a) ... g^(length-1)(a), or None for 0."""
+        k, cf = term
+        bk = self.basis[k]
+        if bk[0] != "w":
+            return None
+        y, total = bk[1], bk[2] + length - 1
+        if self.gd.g_power(y, bk[2]) != self.gd.g[a]:
+            return None
+        mn = self.mn[y]
+        if total <= mn - self.top:
+            return self.index[("w", y, total)], cf
+        if total == mn and self.kind != "string":
+            soc = self.index[("s", self.quiver.src[y])]
+            return soc, self.field.mul(cf, self.c_inv[y])
+        return None
 
     def _walk(self, cur, arrows):
         """The element cur multiplied on the right by each arrow in turn."""
@@ -462,22 +510,61 @@ def form_value(table, phi, x):
     return out
 
 
-def gram_matrix(table, phi):
-    """The Gram matrix G[i][j] = phi(b_i b_j), as sparse rows, block by block.
+def _socle_partners(table, i):
+    """The columns j, ascending, where b_i b_j can have a socle term.
 
-    The form is supported on the socle elements s_w, which lie in
-    e_w A e_w.  For b_i in e_u A e_v, a product b_i b_j is nonzero only
-    when b_j starts at v, and it then lies in e_u A e_t for the target t of
-    b_j; phi can see it only when t = u.  So row i has its nonzero entries
-    among the columns j of the block e_v A e_u, ``table.by_pair[(v, u)]``,
-    and only those entries are computed.  Every other entry is exactly
-    zero, so the sparse rows are the full Gram matrix.
+    By the product rule of :meth:`AlgebraTable.basis_product`, b_i b_j has
+    a socle term only in three cases:
+
+    * one factor is e_v and the other s_v;
+    * b_i = w(a, l) and b_j = w(g^l(a), mn - l): the g-extension of b_i
+      by the first arrow of b_j, continued to total length mn;
+    * ``deformed`` only: b_i = b_j = w(a, 1) for a border loop a, f(a) = a,
+      whose f-extension a.a carries b/c times the socle.
+
+    No other pair reaches the socle.  A socle factor kills every arrow, and
+    an idempotent factor gives the other factor back.  An f-extension
+    w(a, 1).f(a) gives w(abar, mn - 1), and that word continues only when
+    g^(mn-1)(abar) = g(f(a)).  But g^(mn-1)(abar) = g^-1(abar) = f^-1(a),
+    since g = bar . f, while g(f(a)) = bar(f^2(a)) = bar(f^-1(a)), and no
+    arrow equals its bar.  So each row has at most two candidate columns.
     """
+    b = table.basis[i]
+    if b[0] == "e":
+        return [table.index[("s", b[1])]]
+    if b[0] == "s":
+        return [table.index[("e", b[1])]]
+    a, length = b[1], b[2]
+    out = [table.index[("w", table.gd.g_power(a, length),
+                        table.mn[a] - length)]]
+    if table.kind == "deformed" and length == 1 and table.quiver.f[a] == a:
+        out.append(i)
+    return sorted(out)
+
+
+def gram_matrix(table, phi):
+    """The Gram matrix G[i][j] = phi(b_i b_j), as sparse rows.
+
+    phi must be supported on the socle elements, as the symmetrizing form
+    is.  Then G[i][j] can be nonzero only for the at most two socle
+    partners j of i (see :func:`_socle_partners`), and only those entries
+    are computed: every other product has no socle term, so its entry is
+    exactly zero and the sparse rows are the full Gram matrix.  This takes
+    at most 2 dim products, each O(1).
+
+    Raises:
+        ValueError: for ``string``, which has no socle elements, or when
+            phi is nonzero off the socle.
+    """
+    if table.kind == "string":
+        raise ValueError("string algebras carry no socle form")
+    if any(table.basis[k][0] != "s" for k in phi):
+        raise ValueError("the form must be supported on the socle")
     field = table.field
     gram = []
     for i in range(table.dim):
         row = {}
-        for j in table.by_pair.get((table.tgt_of[i], table.src_of[i]), ()):
+        for j in _socle_partners(table, i):
             val = form_value(table, phi, dict(table.basis_product(i, j)))
             if val != field.zero:
                 row[j] = val
@@ -495,23 +582,24 @@ def _socle_gram(table):
 def verify_symmetrizing_form(table):
     """Check symmetry phi(xy) = phi(yx) on all basis pairs and nondegeneracy.
 
-    G[i][j] and G[j][i] can both be nonzero only for j in the block paired
-    with the block of i (see :func:`gram_matrix`), so symmetry is compared
-    there, in row-major order, and the first failing pair i < j is
-    reported.  The rows of the blocks (u, v) have disjoint column sets, so
-    the rank of G is the sum of its block ranks, and elimination never
-    mixes two blocks.
+    A pair i < j with G[i][j] != G[j][i] has a nonzero entry on at least
+    one side, so symmetry is compared over the nonzero entries of the
+    sparse Gram matrix only, and the least failing pair i < j, the first
+    in row-major order, is reported.  G has at most two nonzero entries
+    per row (see :func:`gram_matrix`), so the symmetry check and the rank
+    both take O(dim).
     """
     field = table.field
     gram = _socle_gram(table)
     failure = None
-    for i in range(table.dim):
-        for j in table.by_pair.get((table.tgt_of[i], table.src_of[i]), ()):
-            if j > i and gram[i].get(j, field.zero) != gram[j].get(i, field.zero):
-                failure = {"i": list(table.basis[i]), "j": list(table.basis[j])}
-                break
-        if failure:
-            break
+    for i, row in enumerate(gram):
+        for j, val in row.items():
+            if j != i and gram[j].get(i, field.zero) != val:
+                pair = (min(i, j), max(i, j))
+                failure = pair if failure is None else min(failure, pair)
+    if failure is not None:
+        i, j = failure
+        failure = {"i": list(table.basis[i]), "j": list(table.basis[j])}
     return {
         "symmetric": failure is None,
         "failing_pair": failure,
@@ -524,9 +612,9 @@ def dual_basis(table):
     """The dual basis b_j* with phi(b_i . b_j*) = delta_ij, as elements.
 
     Writing b_j* = sum_k x_k b_k, the conditions read sum_k x_k G[i][k] =
-    delta_ij, so x solves ``x . G^T = e_j``.  Column k of G is nonzero only
-    in the block paired with the block of b_k, so the solve for e_j only
-    ever uses the transposed block of b_j.
+    delta_ij, so x solves ``x . G^T = e_j``.  G has at most two nonzero
+    entries per row and per column (the socle partners of
+    :func:`_socle_partners`), so each solve touches O(1) rows.
 
     Raises:
         ValueError: when the form is degenerate.

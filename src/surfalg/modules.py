@@ -166,18 +166,6 @@ class ModuleMap:
     def is_zero(self):
         return not any(row for rows in self.mats.values() for row in rows)
 
-    def intertwines(self):
-        """Check compatibility with all arrow actions (for tests)."""
-        field = self.domain.table.field
-        q = self.domain.table.quiver
-        for a in q.arrows:
-            s, t = q.src[a], q.tgt[a]
-            lhs = rows_mul(self.domain.mats[a], self.mats[t], field)
-            rhs = rows_mul(self.mats[s], self.codomain.mats[a], field)
-            if lhs != rhs:
-                return False
-        return True
-
 
 def module_map_from_elements(table, elems, srcs, dsts):
     """The map (+)_j P_srcs[j] -> (+)_l P_dsts[l] of left multiplications.
