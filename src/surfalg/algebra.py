@@ -29,7 +29,7 @@ so the Gram matrix, its symmetry and its rank cost O(dim).
 from fractions import Fraction
 
 from .fields import PrimeField, RationalField
-from .linalg import RowSolver, axpy, det_int, rank_of_rows
+from .linalg import axpy, det_int, rank_of_rows
 from .quiver import border, g_structure, is_tetrahedral, skey
 
 KINDS = ("weighted", "biserial", "string", "deformed")
@@ -612,28 +612,45 @@ def dual_basis(table):
     """The dual basis b_j* with phi(b_i . b_j*) = delta_ij, as elements.
 
     Writing b_j* = sum_k x_k b_k, the conditions read sum_k x_k G[i][k] =
-    delta_ij, so x solves ``x . G^T = e_j``.  G has at most two nonzero
-    entries per row and per column (the socle partners of
-    :func:`_socle_partners`), so each solve touches O(1) rows.
+    delta_ij, so x is column j of G^-1.  The socle partners of
+    :func:`_socle_partners` pair each index i with p(i), an involution
+    (p(p(i)) = i, as g^(mn)(a) = a), and G[i][k] is nonzero only for k in
+    the block {i, p(i)}.  So G is the direct sum of these 1 x 1 and 2 x 2
+    blocks, G^-1 is the direct sum of their inverses, and b_j* has its
+    terms in the block of j: for a 2 x 2 block [[a, b], [c, d]] on
+    indices i < p the inverse is [[d, -b], [-c, a]] / (ad - bc).
 
     Raises:
-        ValueError: when the form is degenerate.
+        ValueError: when the form is degenerate, that is when some block
+            is singular.
     """
     if table._dual is not None:
         return table._dual
     field = table.field
     gram = _socle_gram(table)
-    cols = [{} for _ in range(table.dim)]
-    for i, row in enumerate(gram):
-        for k, val in row.items():
-            cols[k][i] = val
-    solver = RowSolver(cols, field)
-    dual = []
+    zero = field.zero
+    dual = [None] * table.dim
     for j in range(table.dim):
-        x = solver.solve({j: field.one})
-        if x is None:
+        if dual[j] is not None:
+            continue
+        block = sorted({j, *_socle_partners(table, j)})
+        if len(block) == 1:
+            a = gram[j].get(j, zero)
+            if a == zero:
+                raise ValueError("symmetrizing form is degenerate")
+            dual[j] = {j: field.inv(a)}
+            continue
+        i, p = block
+        a, b = gram[i].get(i, zero), gram[i].get(p, zero)
+        c, d = gram[p].get(i, zero), gram[p].get(p, zero)
+        det = field.sub(field.mul(a, d), field.mul(b, c))
+        if det == zero:
             raise ValueError("symmetrizing form is degenerate")
-        dual.append(x)
+        s = field.inv(det)
+        for k, (top, bottom) in ((i, (d, field.neg(c))),
+                                 (p, (field.neg(b), a))):
+            dual[k] = {idx: field.mul(s, x)
+                       for idx, x in ((i, top), (p, bottom)) if x != zero}
     table._dual = dual
     return dual
 

@@ -11,6 +11,14 @@ The main consumers are the projective resolutions: every simple module
 over a weighted (or socle-deformed) surface algebra has an explicit
 complex of projectives of length four, and this module verifies its
 exactness by rank bookkeeping, reporting the precise stage of any failure.
+
+Maps between projectives are built from basis products: a left
+multiplication by an element is a sum of closed-form products
+``AlgebraTable.basis_product``, and the cover map of a syzygy applies
+every basis element of e_v A to a generator in one arrow step each, by
+extending the shorter g-word (:meth:`RightModule.act_words`).  So both
+cost one step per coordinate of the projective, not one per arrow of
+each basis element's word.
 """
 
 import random
@@ -73,13 +81,33 @@ class RightModule:
             vec = out
         return vec
 
-    def act_basis(self, vec, basis_idx):
-        """Apply an algebra basis element (acting on the right) to a vector."""
-        scale, arrows = self.table.chain(basis_idx)
-        out = self.act_path(vec, arrows)
-        if scale == self.table.field.one:
-            return out
-        return el_scale(self.table.field, scale, out)
+    def act_words(self, vec, v):
+        """The products vec . b_k for every basis element b_k of e_v A.
+
+        Returns a dict basis index k -> sparse vector, for vec at vertex v.
+        Each product is one arrow step from a shorter one, by the prefix
+        identity of g-words: w(a, 1) = e_v . a and w(a, l) = w(a, l - 1) .
+        g^(l-1)(a), so vec . w(a, l) is vec . w(a, l - 1) times the arrow
+        g^(l-1)(a).  The socle element is s_v = c_a w(a, mn_a) for the
+        least arrow a at v (:meth:`AlgebraTable.chain`): one step past the
+        longest word of a, times the socle scalar c_a.  So vec meets one
+        arrow matrix per basis element of e_v A, not one per arrow of its
+        word.
+        """
+        table = self.table
+        g, index = table.gd.g, table.index
+        out = {index[("e", v)]: dict(vec)}
+        least = table.least_arrow_at(v)
+        for a in table.quiver.out_arrows(v):
+            cur, arrow = vec, a
+            for length in range(1, table.mn[a] - table.top + 1):
+                cur = self.act_path(cur, (arrow,))
+                out[index[("w", a, length)]] = cur
+                arrow = g[arrow]
+            if a == least and table.kind != "string":
+                out[index[("s", v)]] = el_scale(
+                    table.field, table.c[a], self.act_path(cur, (arrow,)))
+        return out
 
     def violated_relations(self):
         """Names of defining relations whose action does not vanish."""
@@ -167,29 +195,33 @@ class ModuleMap:
         return not any(row for rows in self.mats.values() for row in rows)
 
 
-def module_map_from_elements(table, elems, srcs, dsts):
+def module_map_from_elements(elems, domain, codomain):
     """The map (+)_j P_srcs[j] -> (+)_l P_dsts[l] of left multiplications.
 
-    ``elems[l][j]`` is an algebra element in e_dsts[l] A e_srcs[j] (or None
-    for zero); component l of the image of (x_j)_j is sum_j elems[l][j] x_j.
-    Left multiplication commutes with the right module structure, so this
-    is a module homomorphism.
+    ``domain`` and ``codomain`` are the projective sums over srcs and dsts
+    (:func:`projective_sum`), so a resolution can share one module between
+    two maps.  ``elems[l][j]`` is an algebra element in e_dsts[l] A
+    e_srcs[j] (or None for zero); component l of the image of (x_j)_j is
+    sum_j elems[l][j] x_j.  Left multiplication commutes with the right
+    module structure, so this is a module homomorphism.  The domain
+    coordinate (j, k), the basis element b_k of summand j, goes to
+    elems[l][j] b_k in summand l: the sum over the terms cf b_i of
+    elems[l][j] of cf times the closed-form product b_i b_k
+    (:meth:`AlgebraTable.basis_product`).
     """
+    table = domain.table
     field = table.field
-    domain = projective_sum(table, srcs)
-    codomain = projective_sum(table, dsts)
     mats = {}
     for w in table.quiver.vertices:
         pos = codomain.layout_pos[w]
         mat = []
         for j, k in domain.layout[w]:
             row = {}
-            for l in range(len(dsts)):
-                e = elems[l][j]
-                if e:
-                    img = table.multiply(e, {k: field.one})
-                    axpy(row, ((pos[(l, k2)], cf) for k2, cf in img.items()),
-                         field.one, field)
+            for l, line in enumerate(elems):
+                for i, cf in (line[j] or {}).items():
+                    axpy(row, ((pos[(l, k2)], c2)
+                               for k2, c2 in table.basis_product(i, k)),
+                         cf, field)
             mat.append(row)
         mats[w] = mat
     return ModuleMap(domain, codomain, mats)
@@ -214,9 +246,17 @@ def syzygy(module):
 
     Returns (kernel module, info).  The cover is built from the radical:
     at each vertex, coordinates outside the radical row space lift the top.
-    The certificate records that the cover is surjective and that its
-    kernel sits inside the radical of the cover (so the cover is minimal
-    and the kernel is the syzygy).
+    The cover map h sends the coordinate (j, k) of the cover, the basis
+    element b_k in the summand of generator j, to gen_j . b_k; all of one
+    generator's images come from one :meth:`RightModule.act_words` call,
+    one arrow step per basis element.  One RowSolver per vertex on the
+    rows of h gives both the kernel and the rank of h at that vertex: its
+    echelon rows and its left kernel together account for every row, so
+    the rank is the number of rows minus the dimension of the left kernel,
+    and h is surjective exactly when these ranks sum to the module's
+    dimension.  The certificate records that the cover is surjective and
+    that its kernel sits inside the radical of the cover (so the cover is
+    minimal and the kernel is the syzygy).
     """
     table = module.table
     q = table.quiver
@@ -229,16 +269,13 @@ def syzygy(module):
             if col not in pivots:
                 gens.append((v, col))
     cover = projective_sum(table, [v for v, _ in gens])
-    hmats = {}
-    for w in q.vertices:
-        mat = []
-        for j, k in cover.layout[w]:
-            v, col = gens[j]
-            mat.append(module.act_basis({col: field.one}, k))
-        hmats[w] = mat
-    h = ModuleMap(cover, module, hmats)
-    surjective = h.rank() == module.total_dim
-    kbasis = {w: RowSolver(hmats[w], field).kernel() for w in q.vertices}
+    images = [module.act_words({col: field.one}, v) for v, col in gens]
+    hsolvers = {w: RowSolver([images[j][k] for j, k in cover.layout[w]],
+                             field)
+                for w in q.vertices}
+    surjective = (sum(s.rank for s in hsolvers.values())
+                  == module.total_dim)
+    kbasis = {w: hsolvers[w].kernel() for w in q.vertices}
     # Minimality: kernel rows avoid the generator coordinates e_v.
     gen_coord = {}
     for j, (v, _) in enumerate(gens):
@@ -361,10 +398,12 @@ def _resolution_maps(table, v):
     al, ab = out
     f, g = q.f, table.gd.g
     bval = table.pres.b.get(v, field.zero) if table.kind == "deformed" else field.zero
+    # P3 = P0 = P_v; each projective is built once and shared by its maps.
+    p0 = projective_sum(table, [v])
+    p1 = projective_sum(table, [q.tgt[al], q.tgt[ab]])
+    p2 = projective_sum(table, [q.tgt[f[al]], q.tgt[f[ab]]])
     pi1 = module_map_from_elements(
-        table,
-        [[table.arrow_element(al), table.arrow_element(ab)]],
-        srcs=[q.tgt[al], q.tgt[ab]], dsts=[v])
+        [[table.arrow_element(al), table.arrow_element(ab)]], p1, p0)
     # Column 0: phi = (f(al), -c_ab A'_ab [- b B'_ab]); column 1:
     # psi = (-c_al A'_al [- b A_al], f(ab)).
     phi0 = table.arrow_element(f[al])
@@ -380,13 +419,10 @@ def _resolution_maps(table, v):
         extra_psi = el_scale(field, field.neg(bval),
                              table.word_element(al, table.mn[al] - 1))
         psi0 = el_add(field, psi0, extra_psi)
-    pi2 = module_map_from_elements(
-        table, [[phi0, psi0], [phi1, psi1]],
-        srcs=[q.tgt[f[al]], q.tgt[f[ab]]], dsts=[q.tgt[al], q.tgt[ab]])
+    pi2 = module_map_from_elements([[phi0, psi0], [phi1, psi1]], p2, p1)
     pi3 = module_map_from_elements(
-        table,
         [[table.arrow_element(f[f[al]])], [table.arrow_element(f[f[ab]])]],
-        srcs=[v], dsts=[q.tgt[f[al]], q.tgt[f[ab]]])
+        p0, p2)
     return al, ab, pi1, pi2, pi3, (phi0, phi1, psi0, psi1)
 
 

@@ -1,8 +1,9 @@
-"""The closed-form basis product and the socle-partner Gram matrix.
+"""The closed-form basis product, the socle-partner Gram matrix and dual basis.
 
-Both are checked against the slow paths they replace: the product against
-multiplying b_i by the arrows of b_j one at a time, and the Gram matrix
-against computing every entry of the blocks e_v A e_u x e_u A e_v.
+Each is checked against the slow path it replaces: the product against
+multiplying b_i by the arrows of b_j one at a time, the Gram matrix against
+computing every entry of the blocks e_v A e_u x e_u A e_v, and the dual
+basis against solving with the transposed Gram matrix by elimination.
 """
 
 import random
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
-from surfalg.algebra import form_value
+from surfalg.algebra import _socle_partners, form_value
+from surfalg.linalg import RowSolver
 
 import fixtures as fx
 
@@ -201,3 +203,44 @@ def test_form_check_products_are_linear_in_dim(monkeypatch):
     rep = sa.verify_symmetrizing_form(t)
     assert rep["symmetric"] and rep["nondegenerate"]
     assert len(calls) <= 2 * t.dim
+
+
+def rowsolver_dual_basis(t):
+    """b_j* as the solution x of x . G^T = e_j, by one RowSolver."""
+    field = t.field
+    gram = sa.gram_matrix(t, sa.symmetrizing_form(t))
+    cols = [{} for _ in range(t.dim)]
+    for i, row in enumerate(gram):
+        for k, val in row.items():
+            cols[k][i] = val
+    solver = RowSolver(cols, field)
+    dual = []
+    for j in range(t.dim):
+        x = solver.solve({j: field.one})
+        if x is None:
+            raise ValueError("symmetrizing form is degenerate")
+        dual.append(x)
+    return dual
+
+
+def test_dual_basis_matches_rowsolver():
+    count = 0
+    for name, t in fixture_algebras():
+        assert sa.dual_basis(t) == rowsolver_dual_basis(t), name
+        count += 1
+    assert count > 60
+
+
+def test_dual_basis_rejects_a_degenerate_block():
+    t2 = fx.triangle_algebra()
+    pair = sorted(_socle_partners(t2, 0) + [0])
+    t1 = fx.weighted(fx.sphere_opposite_quiver(),
+                     m={"alpha1": 2, "alpha2": 2, "alpha3": 2})
+    fixed = next(j for j in range(t1.dim) if _socle_partners(t1, j) == [j])
+    for t, j in ((t2, pair[0]), (t1, fixed)):
+        gram = [dict(row) for row in sa.gram_matrix(
+            t, sa.symmetrizing_form(t))]
+        gram[j] = {}
+        t._gram, t._dual = gram, None
+        with pytest.raises(ValueError):
+            sa.dual_basis(t)
