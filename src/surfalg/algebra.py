@@ -17,10 +17,11 @@ is the full cycle of length m n, which equals c_a^{-1} w_i in the socle.
 Elements are stored in the monomial basis: one idempotent per vertex, the
 g-words of each admissible length, and (except for ``string``) one socle
 element per vertex.  An element is a sparse dict basis index -> nonzero
-scalar, and all element arithmetic goes through :func:`linalg.axpy`.
-The product of two basis elements is read off in closed form, one lookup
-in the table of right products by an arrow and one g-orbit test, at a cost
-that does not grow with the weight; all computations are exact.  The
+scalar, and all element arithmetic goes through the field's sparse-row
+kernel ``field.axpy``.  The product of two basis elements is read off in
+closed form, one lookup in the table of right products by an arrow and one
+g-orbit test, at a cost that does not grow with the weight; all
+computations are exact.  The
 symmetrizing form is checked on the sparse Gram matrix, which has at most
 two nonzero entries per row, at the socle partners of each basis element,
 so the Gram matrix, its symmetry and its rank cost O(dim).
@@ -29,7 +30,7 @@ so the Gram matrix, its symmetry and its rank cost O(dim).
 from fractions import Fraction
 
 from .fields import PrimeField, RationalField
-from .linalg import axpy, det_int, rank_of_rows
+from .linalg import det_int, rank_of_rows
 from .quiver import border, g_structure, is_tetrahedral, skey
 
 KINDS = ("weighted", "biserial", "string", "deformed")
@@ -290,7 +291,7 @@ class AlgebraTable:
         for a in arrows:
             nxt = {}
             for k, cf in cur.items():
-                axpy(nxt, self.right.get((k, a), ()), cf, field)
+                field.axpy(nxt, self.right.get((k, a), ()), cf)
             cur = nxt
             if not cur:
                 break
@@ -304,7 +305,7 @@ class AlgebraTable:
             for j, yj in y.items():
                 prod = self.basis_product(i, j)
                 if prod:
-                    axpy(out, prod, field.mul(xi, yj), field)
+                    field.axpy(out, prod, field.mul(xi, yj))
         return out
 
     def idempotent(self, v):
@@ -381,11 +382,11 @@ def reduced_presentation(pres, p):
 
 
 def el_add(field, x, y):
-    return axpy(dict(x), y.items(), field.one, field)
+    return field.axpy(dict(x), y.items(), field.one)
 
 
 def el_scale(field, s, x):
-    return axpy({}, x.items(), s, field)
+    return field.axpy({}, x.items(), s)
 
 
 def defining_relations(table):
@@ -755,7 +756,7 @@ def scaling_isomorphism_check(table1, table2, scale=None):
         for j in range(table2.dim):
             lhs = {}
             for k, ck in table2.basis_product(i, j):
-                axpy(lhs, images[k].items(), ck, field)
+                field.axpy(lhs, images[k].items(), ck)
             rhs = table1.multiply(images[i], images[j])
             if lhs != rhs:
                 failure = {"i": list(table2.basis[i]), "j": list(table2.basis[j])}

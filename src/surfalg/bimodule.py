@@ -19,8 +19,9 @@ come from left products kx.u and right products v.ky, each computed once
 per generator term and basis element.  The flat column of a basis tensor
 of P_i is a left part (from kx) plus a right part (from ky), so each
 product is turned into integer columns once, and a row is a sum of outer
-sums of such columns.  The codomain A of d0 multiplies instead.  The rank
-of d0 is read off its unit rows e_u (x) k -> k when they reach dim A.
+sums of such columns.  The codomain A of d0 multiplies instead.  The unit
+rows e_i (x) ky give the rank of d0 (e_u (x) k -> k, the basis of A) and
+all of theta: e_v (x) k -> xi_v . k is theta's row at k (:func:`map_theta`).
 
 Over Q the stage ranks are certified by ranks of the same rows reduced mod
 a fixed prime, and computed in Fraction arithmetic only when that falls
@@ -163,57 +164,65 @@ class BimoduleMap:
             (s2, mul(x, u), mul(v, y))
             for s, x, y in terms for s2, u, v in self.gen_images[s]])
 
+    def unit_rank(self):
+        """Rank of the unit rows, the images of e_i (x) ky, for e_i the
+        left idempotent of each summand and every ky."""
+        table = self.table
+        units = [[table.index[("e", i)]] for i, _ in self.domain.summands]
+        return block_rank(self._keyed_rows(units), table.field)
+
     def rank(self):
         """Rank of the matrix whose rows are the images of basis tensors.
 
-        The unit rows, images of e_i (x) ky with e_i the left idempotent
-        of the summand, are some of the rows, so their rank bounds the
-        rank from below; the number of columns, ``codomain.dim``, bounds
-        it from above.  So when there are at least as many unit rows as
-        columns, their rank is tried first, and if it reaches
-        ``codomain.dim`` it is the rank.  Otherwise every row is used.
-        This decides d0 (P0 -> A) from dim A rows: its unit rows
-        e_u (x) k -> k, for k in e_u A, are the basis of A.  The other
-        maps have far fewer unit rows than columns and skip the first try.
+        The unit rows (:meth:`unit_rank`) are some of the rows, so their
+        rank bounds the rank from below; the number of columns,
+        ``codomain.dim``, bounds it from above.  So when there are at
+        least as many unit rows as columns, their rank is tried first, and
+        if it reaches ``codomain.dim`` it is the rank.  Otherwise every
+        row is used.  This decides d0 (P0 -> A) from dim A rows: its unit
+        rows e_u (x) k -> k, for k in e_u A, are the basis of A.  The
+        other maps have far fewer unit rows than columns.
         """
-        table, cols = self.table, self.codomain.dim
-        dom = self.domain
+        dom, cols = self.domain, self.codomain.dim
         if sum(map(len, dom.right)) >= cols:
-            units = [[table.index[("e", i)]] for i, _ in dom.summands]
-            r = block_rank(self._keyed_rows(units), table.field)
+            r = self.unit_rank()
             if r == cols:
                 return r
-        return block_rank(self._keyed_rows(dom.left), table.field)
+        return block_rank(self._keyed_rows(dom.left), self.table.field)
 
     def _keyed_rows(self, lefts):
         """(block key, row) for the basis tensors kx (x) ky, kx in lefts[s].
 
-        Term (s2, u, v) of generator s sends kx (x) ky to kx.u (x) v.ky.
-        The right coordinates of v.ky are formed once per (term, ky) and
-        the left coordinates of kx.u once per (kx, term); terms with
-        kx.u = 0 are dropped, and a row is the sum over the remaining
-        terms of the outer sums of the two columns.
+        Term t = (s2, u, v) of generator s sends kx (x) ky to kx.u (x)
+        v.ky.  The right coordinates of v.ky are formed once per (t, ky),
+        kept per ky for the t with v.ky != 0, and those of kx.u once per
+        (kx, t).  A row is the sum, over the terms in order with both
+        products nonzero, of the outer sums of the two columns.
         """
         table, cod = self.table, self.codomain
         mul, one = table.multiply, table.field.one
         for s, terms in enumerate(self.gen_images):
             right = self.domain.right[s]
-            rcs = [[cod.right_coords(s2, mul(v, {ky: one})) for ky in right]
-                   for s2, _, v in terms]
+            rcs = [[] for _ in right]
+            for t, (s2, _, v) in enumerate(terms):
+                for p, ky in enumerate(right):
+                    vy = mul(v, {ky: one})
+                    if vy:
+                        rcs[p].append((t, cod.right_coords(s2, vy)))
             for kx in lefts[s]:
                 lcs = []
-                for (s2, u, _), rc in zip(terms, rcs):
+                for s2, u, _ in terms:
                     xu = mul({kx: one}, u)
-                    if xu:
-                        lcs.append((cod.left_coords(s2, xu), rc))
-                if not lcs:
+                    lcs.append(xu and cod.left_coords(s2, xu))
+                if not any(lcs):
                     continue
                 src = table.src_of[kx]
                 for p, ky in enumerate(right):
                     row = {}
-                    for lc, rc in lcs:
-                        if rc[p]:
-                            cod.add_tensor(row, lc, rc[p])
+                    for t, rc in rcs[p]:
+                        lc = lcs[t]
+                        if lc:
+                            cod.add_tensor(row, lc, rc)
                     yield (src, table.tgt_of[ky]), row
 
 
@@ -370,30 +379,15 @@ def xi_element(table, v):
 def map_theta(table, p3):
     """A -> P3, e_v to xi_v; its image is the kernel of S.
 
-    Not a BimoduleMap (its domain is A): basis element k of e_v A goes to
-    xi_v . k, and ``rank`` sums the block ranks of those rows.  The left
-    coordinates of each term of xi_v are formed once per term.
+    Basis element k of e_v A goes to xi_v . k, the sum of b (x) b*.k over
+    the terms of xi_v.  That is the unit row e_v (x) k of the bimodule map
+    P3 -> P3 sending the generator of summand v to xi_v (P3 and P0 are the
+    same bimodule): e_v . b = b for every b in e_v A.  So ``rank`` is that
+    map's :meth:`BimoduleMap.unit_rank`, one row per basis element of A.
     """
-    field = table.field
     xis = {v: xi_element(table, v) for v in table.quiver.vertices}
-
-    def rank():
-        mul, one = table.multiply, field.one
-        lcs = {v: [(s, p3.left_coords(s, x), y) for s, x, y in xi]
-               for v, xi in xis.items()}
-
-        def keyed_rows():
-            for k in range(table.dim):
-                row = {}
-                for s, lc, y in lcs[table.src_of[k]]:
-                    yk = mul(y, {k: one})
-                    if yk:
-                        p3.add_tensor(row, lc, p3.right_coords(s, yk))
-                yield (table.src_of[k], table.tgt_of[k]), row
-
-        return block_rank(keyed_rows(), field)
-
-    return {"xis": xis, "rank": rank}
+    casimir = BimoduleMap(p3, p3, [xis[v] for v in table.quiver.vertices])
+    return {"xis": xis, "rank": casimir.unit_rank}
 
 
 def _modular_ranks(table):

@@ -4,25 +4,15 @@ A *row* is a dict mapping column keys to nonzero scalars, and a matrix is a
 list of rows.  Column keys can be any hashable, sortable-by-str values.
 There are two elimination routines: :func:`rank_of_rows` counts pivots and
 nothing else, and :class:`RowSolver` also tracks how each echelon row
-combines the inputs, for membership, solving and left kernels.  Both pick
-pivots deterministically, so every routine here is reproducible run to
-run.  Algebra elements are sparse rows over basis indices, so
-:func:`axpy`, which hands the loop to the field's own kernel, is also the
-one loop behind element arithmetic.
+combines the inputs, for solving and left kernels.  Both pick pivots
+deterministically, so every routine here is reproducible run to run.  Row
+updates, and element arithmetic on algebra elements (sparse rows over
+basis indices), all go through the field's own kernel ``field.axpy``.
 """
 
 
 def _ckey(col):
     return (str(col), repr(col))
-
-
-def axpy(dst, pairs, s, field):
-    """In place ``dst += s * src`` for ``src`` given as (key, scalar) pairs.
-
-    Entries that cancel are removed, so ``dst`` stays a sparse row with
-    nonzero values only.  Returns dst.
-    """
-    return field.axpy(dst, pairs, s)
 
 
 def rows_mul(a, b, field):
@@ -34,7 +24,7 @@ def rows_mul(a, b, field):
     for row in a:
         acc = {}
         for k, v in row.items():
-            axpy(acc, b[k].items(), v, field)
+            field.axpy(acc, b[k].items(), v)
         out.append(acc)
     return out
 
@@ -42,8 +32,8 @@ def rows_mul(a, b, field):
 class RowSolver:
     """Echelonized span of a list of sparse rows, with transform tracking.
 
-    Supports rank, membership, solving ``x . rows = target`` and the left
-    kernel ``{x : x . rows = 0}``.
+    Supports rank, reduction against the span, solving ``x . rows = target``
+    and the left kernel ``{x : x . rows = 0}``.
     """
 
     def __init__(self, rows, field):
@@ -59,8 +49,8 @@ class RowSolver:
             if r:
                 piv = min(r, key=_ckey)
                 s = field.inv(r[piv])
-                r = axpy({}, r.items(), s, field)
-                t = axpy({}, t.items(), s, field)
+                r = field.axpy({}, r.items(), s)
+                t = field.axpy({}, t.items(), s)
                 self.pivots[piv] = len(self.ech)
                 self.ech.append((piv, r, t))
             else:
@@ -85,9 +75,9 @@ class RowSolver:
             c, k = hit
             _, er, et = self.ech[k]
             s = field.neg(r[c])
-            axpy(r, er.items(), s, field)
+            field.axpy(r, er.items(), s)
             if t is not None:
-                axpy(t, et.items(), s, field)
+                field.axpy(t, et.items(), s)
 
     @property
     def rank(self):
@@ -98,9 +88,6 @@ class RowSolver:
         r = dict(target)
         self._reduce(r, None)
         return r
-
-    def contains(self, target):
-        return not self.residual(target)
 
     def solve(self, target):
         """Return x (dict row-index -> scalar) with ``x . rows = target``.
@@ -113,7 +100,7 @@ class RowSolver:
         self._reduce(r, neg_x)
         if r:
             return None
-        return axpy({}, neg_x.items(), field.neg(field.one), field)
+        return field.axpy({}, neg_x.items(), field.neg(field.one))
 
     def kernel(self):
         """Basis of the left kernel, as dicts over original row indices."""

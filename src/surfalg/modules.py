@@ -24,7 +24,7 @@ each basis element's word.
 import random
 
 from .algebra import defining_relations, el_add, el_scale
-from .linalg import RowSolver, axpy, intersection_dim, rank_of_rows, rows_mul
+from .linalg import RowSolver, intersection_dim, rank_of_rows, rows_mul
 
 
 class RightModule:
@@ -77,7 +77,7 @@ class RightModule:
             mat = self.mats[a]
             out = {}
             for i, x in vec.items():
-                axpy(out, mat[i].items(), x, field)
+                field.axpy(out, mat[i].items(), x)
             vec = out
         return vec
 
@@ -119,8 +119,8 @@ class RightModule:
             for i in range(self.dims[s]):
                 total = {}
                 for coeff, arrows in rel["terms"]:
-                    axpy(total, self.act_path({i: field.one}, arrows).items(),
-                         coeff, field)
+                    field.axpy(total, self.act_path(
+                        {i: field.one}, arrows).items(), coeff)
                 if total:
                     bad.append(rel["name"])
                     break
@@ -161,15 +161,6 @@ def projective_module(table, v):
 def simple_module(table, v):
     dims = {w: (1 if w == v else 0) for w in table.quiver.vertices}
     return RightModule(table, dims, {}, check_relations=False)
-
-
-def element_vector(module, component, elem):
-    """Sparse per-vertex coordinates of an algebra element in one summand."""
-    out = {w: {} for w in module.dims}
-    for k, cf in elem.items():
-        w = module.table.tgt_of[k]
-        out[w][module.layout_pos[w][(component, k)]] = cf
-    return out
 
 
 class ModuleMap:
@@ -219,9 +210,9 @@ def module_map_from_elements(elems, domain, codomain):
             row = {}
             for l, line in enumerate(elems):
                 for i, cf in (line[j] or {}).items():
-                    axpy(row, ((pos[(l, k2)], c2)
-                               for k2, c2 in table.basis_product(i, k)),
-                         cf, field)
+                    field.axpy(row, ((pos[(l, k2)], c2)
+                                     for k2, c2 in table.basis_product(i, k)),
+                               cf)
             mat.append(row)
         mats[w] = mat
     return ModuleMap(domain, codomain, mats)
@@ -332,9 +323,9 @@ def hom_space(m1, m2):
                     rows[var_pos[(t, k, j)]][(a, i, j)] = cf
         for l, row in enumerate(m2.mats[a]):
             for i in range(m1.dims[s]):
-                axpy(rows[var_pos[(s, i, l)]],
-                     (((a, i, j), cf) for j, cf in row.items()),
-                     minus_one, field)
+                field.axpy(rows[var_pos[(s, i, l)]],
+                           (((a, i, j), cf) for j, cf in row.items()),
+                           minus_one)
     out = []
     for combo in RowSolver(rows, field).kernel():
         mats = {v: [{} for _ in range(m1.dims[v])] for v in q.vertices}
@@ -378,7 +369,7 @@ def module_iso(m1, m2, seed=0, budget=64):
                 continue
             for v in mats:
                 for acc, row in zip(mats[v], base[v]):
-                    axpy(acc, row.items(), cf, field)
+                    field.axpy(acc, row.items(), cf)
         if _invertible_everywhere(mats, m1.dims, field):
             return True, {"iso": mats}
     return False, {
@@ -423,7 +414,7 @@ def _resolution_maps(table, v):
     pi3 = module_map_from_elements(
         [[table.arrow_element(f[f[al]])], [table.arrow_element(f[f[ab]])]],
         p0, p2)
-    return al, ab, pi1, pi2, pi3, (phi0, phi1, psi0, psi1)
+    return al, ab, pi1, pi2, pi3
 
 
 def verify_simple_resolution(table, v):
@@ -445,7 +436,7 @@ def verify_simple_resolution(table, v):
             "simple resolutions require kind 'weighted' or 'deformed'")
     q = table.quiver
     field = table.field
-    al, ab, pi1, pi2, pi3, cols = _resolution_maps(table, v)
+    al, ab, pi1, pi2, pi3 = _resolution_maps(table, v)
     p_v = pi1.codomain
     dims = {
         "P0": p_v.total_dim,
@@ -490,25 +481,27 @@ def verify_simple_resolution(table, v):
     })
 
     ker3 = pi3.domain.total_dim - r3
-    soc_vec = element_vector(pi3.domain, 0, table.socle_element(v))
-    soc_killed = not any(rows_mul([soc_vec[w]], pi3.mats[w], field)[0]
-                         for w in q.vertices)
+    # The socle s_v of P_v is the single coordinate (0, s_v) at vertex v,
+    # looked up as e_v is for pi1 above: pi3 kills s_v exactly when its
+    # row of pi3 is empty.
+    s_pos = p_v.layout_pos[v][(0, table.index[("s", v)])]
+    soc_killed = not pi3.mats[v][s_pos]
     stages.append({
         "name": "kernel_pi3_is_socle",
         "ok": ker3 == 1 and soc_killed,
         "kernel_dim": ker3,
     })
 
-    phi0, phi1, psi0, psi1 = cols
-    spans = []
-    for pair, arrow in (((phi0, phi1), q.f[al]), ((psi0, psi1), q.f[ab])):
-        rows = []
-        for k in table.basis_of(source=q.tgt[arrow]):
-            x = {k: field.one}
-            rows.append({(l, k2): cf for l, e in enumerate(pair)
-                         for k2, cf in table.multiply(e, x).items()})
-        spans.append(rows)
-    meet = intersection_dim(*spans, field)
+    # The cyclic submodules generated by phi and psi are the images of
+    # pi2's domain summands j = 0 and 1.  Both are graded by vertex (the
+    # coordinate (j, k) lands at t(k)), so their meet is the sum over the
+    # vertices w of the meets of the rows of pi2 at w, split by j.
+    meet = 0
+    for w, rows in pi2.mats.items():
+        parts = ([], [])
+        for (j, _), row in zip(pi2.domain.layout[w], rows):
+            parts[j].append(row)
+        meet += intersection_dim(*parts, field)
 
     omega2 = ker1
     expected_omega2 = table.mn[q.f[al]] + table.mn[q.f[ab]] + 1

@@ -181,12 +181,31 @@ def per_element_theta_rank(table, p3, xis):
     return sum(rank_of_rows(rows, table.field) for rows in blocks.values())
 
 
+def triangle_m2_f101():
+    return fx.triangle_algebra(m=2, field=sa.PrimeField(101))
+
+
+def relabelled_triangle():
+    """The triangle with renamed vertices and arrows, listed out of order,
+    so that summands, blocks and basis indices are ordered differently."""
+    q = fx.triangle_quiver()
+    vmap = {1: 30, 2: 10, 3: 20}
+    amap = {a: f"x{i}" for i, a in enumerate(reversed(q.arrows))}
+    arrows = [(amap[a], vmap[q.src[a]], vmap[q.tgt[a]])
+              for a in reversed(q.arrows)]
+    f = {amap[a]: amap[q.f[a]] for a in q.arrows}
+    return fx.weighted(sa.validate([20, 30, 10], arrows, f),
+                       m={amap["alpha"]: 2})
+
+
 @pytest.mark.parametrize("build", [
     fx.triangle_algebra, fx.deformed_triangle_f2, fx.tetrahedral_algebra,
+    triangle_m2_f101, relabelled_triangle,
 ])
 def test_theta_rank_matches_per_element_rows(build):
-    # theta's rows come from coordinates formed once per term of xi_v; they
-    # must agree with flattening xi_v . k for each basis element k
+    # theta's rows are the unit rows of the map P3 -> P3 sending each
+    # generator to xi_v; they must agree with flattening xi_v . k for each
+    # basis element k
     t = build()
     _, _, _, p3 = bimodule_spaces(t)
     theta = map_theta(t, p3)

@@ -1,9 +1,14 @@
 """Right modules, syzygies, and periodicity of simple modules."""
 
+import random
+
 import pytest
 
 import surfalg as sa
+from surfalg.algebra import el_add, el_scale
+from surfalg.linalg import intersection_dim, rows_mul
 from surfalg.modules import (
+    _resolution_maps,
     hom_space,
     projective_sum,
     radical_profile,
@@ -11,6 +16,8 @@ from surfalg.modules import (
 )
 
 import fixtures as fx
+from test_closed_form import FIELDS
+from test_syzygy import CASES, presentation
 
 
 def test_projective_module_dims():
@@ -186,3 +193,88 @@ def test_deformed_resolution_columns_differ_from_weighted():
     rep = sa.verify_simple_resolution(t, 1)
     assert rep["verdict"] == "PERIODIC_PERIOD_4"
     assert rep["omega2_dim"] == rep["omega2_expected"] == 13
+
+
+# -- the simple-resolution readings against the products they replace ----
+
+
+def oracle_columns(table, v):
+    """phi = (phi0, phi1) and psi = (psi0, psi1) from their formulas."""
+    q, field, f, g = table.quiver, table.field, table.quiver.f, table.gd.g
+    al, ab = q.out_arrows(v)
+    if q.f[ab] == ab:
+        al, ab = ab, al
+    bval = (table.pres.b.get(v, field.zero) if table.kind == "deformed"
+            else field.zero)
+    phi = [table.arrow_element(f[al]),
+           el_scale(field, field.neg(table.c[ab]),
+                    table.word_element(g[ab], table.mn[ab] - 2))]
+    psi = [el_scale(field, field.neg(table.c[al]),
+                    table.word_element(g[al], table.mn[al] - 2)),
+           table.arrow_element(f[ab])]
+    if bval != field.zero:
+        phi[1] = el_add(field, phi[1], el_scale(
+            field, field.neg(bval),
+            table.word_element(g[ab], table.mn[ab] - 1)))
+        psi[0] = el_add(field, psi[0], el_scale(
+            field, field.neg(bval), table.word_element(al, table.mn[al] - 1)))
+    return al, ab, phi, psi
+
+
+def multiply_meet(table, v):
+    """dim (phi A meet psi A), each span from products phi . b_k."""
+    q, field = table.quiver, table.field
+    al, ab, phi, psi = oracle_columns(table, v)
+    spans = []
+    for pair, arrow in ((phi, q.f[al]), (psi, q.f[ab])):
+        spans.append([
+            {(l, k2): cf for l, e in enumerate(pair)
+             for k2, cf in table.multiply(e, {k: field.one}).items()}
+            for k in table.basis_of(source=q.tgt[arrow])])
+    return intersection_dim(*spans, field)
+
+
+def element_vector(module, component, elem):
+    """Sparse per-vertex coordinates of an algebra element in one summand."""
+    out = {w: {} for w in module.dims}
+    for k, cf in elem.items():
+        w = module.table.tgt_of[k]
+        out[w][module.layout_pos[w][(component, k)]] = cf
+    return out
+
+
+def socle_killed(table, v):
+    """Whether pi3 kills s_v, by multiplying its coordinate vector."""
+    pi3 = _resolution_maps(table, v)[4]
+    soc = element_vector(pi3.domain, 0, table.socle_element(v))
+    return not any(rows_mul([soc[w]], pi3.mats[w], table.field)[0]
+                   for w in table.quiver.vertices)
+
+
+def assert_readings_match_products(table):
+    for v in table.quiver.vertices:
+        rep = sa.verify_simple_resolution(table, v)
+        assert rep["phi_psi_intersection_dim"] == multiply_meet(table, v), v
+        stage = rep["stages"][-1]
+        assert stage["name"] == "kernel_pi3_is_socle"
+        assert stage["ok"] == (stage["kernel_dim"] == 1
+                               and socle_killed(table, v)), v
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_simple_readings_match_products(name, kind, field):
+    rng = random.Random(f"{name}/{kind}/{field}")
+    assert_readings_match_products(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng)))
+
+
+@pytest.mark.parametrize("build", [
+    fx.deformed_triangle_f2,
+    lambda: fx.tetrahedral_algebra(),
+    lambda: fx.tetrahedral_algebra(field=sa.PrimeField(101)),
+], ids=["deformed_triangle_f2", "singular_tetrahedral_Q",
+        "singular_tetrahedral_F101"])
+def test_simple_readings_match_products_fixed(build):
+    # the singular tetrahedral algebras meet in dimension 4, not 3
+    assert_readings_match_products(build())
