@@ -13,15 +13,18 @@ the fourth syzygy of A over its enveloping algebra is A again.
 Elements of a projective bimodule are stored as lists of pure tensors
 (summand, left element, right element); maps are given on the summand
 generators e (x) e and extended bilinearly, so composites only ever need
-to be checked on generators.  A generator image sum (s2, u, v) sends the
-basis tensor kx (x) ky to sum kx.u (x) v.ky, so the rows of a rank matrix
-come from left products kx.u and right products v.ky, each computed once
-per generator term and basis element.  The flat column of a basis tensor
-of P_i is a left part (from kx) plus a right part (from ky), so each
-product is turned into integer columns once, and a row is a sum of outer
-sums of such columns.  The codomain A of d0 multiplies instead.  The unit
-rows e_i (x) ky give the rank of d0 (e_u (x) k -> k, the basis of A) and
-all of theta: e_v (x) k -> xi_v . k is theta's row at k (:func:`map_theta`).
+to be checked on generators.  A generator image sum over terms
+t = (s2, u_t, v_t) sends the basis tensor kx (x) ky to the sum of
+kx.u_t (x) v_t.ky, so a rank matrix row is built from the one-sided
+products alone, and a term whose product kx.u_t or v_t.ky is zero adds
+nothing to it.  Each nonzero product is read off ``basis_product`` once
+per generator term and basis element, and a row is filled from the pairs
+of nonzero products only (:meth:`BimoduleMap._keyed_rows`).  A codomain
+says how a pair (left part, right part) becomes flat columns: in P_i the
+one column left part + right part, in A (the codomain of d0) the terms
+of the basis product.  The unit rows e_i (x) ky give the rank of d0
+(e_u (x) k -> k, the basis of A) and all of theta: e_v (x) k -> xi_v . k
+is theta's row at k (:func:`map_theta`).
 
 Over Q the stage ranks are certified by ranks of the same rows reduced mod
 a fixed prime, and computed in Fraction arithmetic only when that falls
@@ -41,28 +44,37 @@ CERTIFICATE_PRIMES = (1073741789, 1073741783)
 class Codomain:
     """Flat coordinates of tensors, split into a left and a right part.
 
-    A codomain gives ``left_coords(s, x)`` and ``right_coords(s, y)`` for
-    tensors x (x) y of summand s, and ``add_tensor(row, lc, rc)`` adds the
-    tensor they came from to a flat row; ``dim`` is the number of flat
-    columns.  Callers that meet the same left or right factor many times
-    compute its part once.
+    A codomain maps each basis element k of a left factor of summand s to
+    its left part ``left_parts(s)[k]``, and each basis element of a right
+    factor to its right part ``right_parts(s)[k]``.  ``add_tensor(row, lc,
+    rc)`` adds to a flat row the sum of a.b (lp (x) rp) over (lp, a) in lc
+    and (rp, b) in rc; ``dim`` is the number of flat columns.  Codomains
+    differ only in how one pair of parts becomes columns, so the rank
+    rows of every map come from one loop, :meth:`BimoduleMap._keyed_rows`.
+
+    A right part may carry a multiple n.dim: the tensor then lands at its
+    columns plus n.dim, that is in row n of rows stacked one after
+    another.  ``_keyed_rows`` fills all rows of one left factor this way.
     """
 
     def flatten(self, terms):
         """Flat coordinates of a list of (summand, left, right) tensors."""
         out = {}
         for s, x, y in terms:
-            self.add_tensor(out, self.left_coords(s, x),
-                            self.right_coords(s, y))
+            lp, rp = self.left_parts(s), self.right_parts(s)
+            self.add_tensor(out, [(lp[k], c) for k, c in x.items()],
+                            [(rp[k], c) for k, c in y.items()])
         return out
 
 
 class BimoduleSpace(Codomain):
     """A direct sum of projective bimodules A e_i (x) e_j A.
 
-    Basis tensor kx (x) ky of summand s sits at flat column ``offsets[s] +
-    left_pos[s][kx] * len(right[s]) + right_pos[s][ky]``: a left part that
-    depends on kx only plus a right part that depends on ky only.
+    Basis tensor kx (x) ky of summand s sits at flat column
+    ``left_part[s][kx] + right_pos[s][ky]``: a left part ``offsets[s] +
+    (position of kx) * len(right[s])`` that depends on kx only plus a
+    right part, the position of ky, that depends on ky only.  A pair of
+    parts is the one column lp + rp.
     """
 
     def __init__(self, table, summands):
@@ -70,7 +82,7 @@ class BimoduleSpace(Codomain):
         self.summands = list(summands)
         self.left = []
         self.right = []
-        self.left_pos = []
+        self.left_part = []
         self.right_pos = []
         self.offsets = []
         off = 0
@@ -79,21 +91,18 @@ class BimoduleSpace(Codomain):
             rb = table.basis_of(source=j)
             self.left.append(lb)
             self.right.append(rb)
-            self.left_pos.append({k: p for p, k in enumerate(lb)})
+            self.left_part.append(
+                {k: off + p * len(rb) for p, k in enumerate(lb)})
             self.right_pos.append({k: p for p, k in enumerate(rb)})
             self.offsets.append(off)
             off += len(lb) * len(rb)
         self.dim = off
 
-    def left_coords(self, s, x):
-        """(left part of the column, scalar) for each basis term of x."""
-        base, nr, lpos = self.offsets[s], len(self.right[s]), self.left_pos[s]
-        return [(base + lpos[k] * nr, c) for k, c in x.items()]
+    def left_parts(self, s):
+        return self.left_part[s]
 
-    def right_coords(self, s, y):
-        """(right part of the column, scalar) for each basis term of y."""
-        rpos = self.right_pos[s]
-        return [(rpos[k], c) for k, c in y.items()]
+    def right_parts(self, s):
+        return self.right_pos[s]
 
     def add_tensor(self, row, lc, rc):
         """row += the tensor whose parts are lc and rc: an outer sum."""
@@ -106,22 +115,59 @@ class AlgebraTarget(Codomain):
     """The algebra A as a codomain: a tensor x (x) y flattens to x . y.
 
     The product does not split into a left and a right column, so the
-    parts are the factors themselves and ``add_tensor`` multiplies them.
+    parts are the basis indices themselves, and a pair (i, j) of parts
+    becomes the terms of ``basis_product(i, j)``.
     """
 
     def __init__(self, table):
         self.table = table
         self.dim = table.dim
 
-    def left_coords(self, s, x):
-        return x
+    def left_parts(self, s):
+        return range(self.dim)
 
-    def right_coords(self, s, y):
-        return y
+    right_parts = left_parts
 
-    def add_tensor(self, row, x, y):
-        field = self.table.field
-        field.axpy(row, self.table.multiply(x, y).items(), field.one)
+    def add_tensor(self, row, lc, rc):
+        """row += the sum of a.b.(b_i . b_j) over (i, a) in lc, (j, b) in rc."""
+        field, bp, dim = self.table.field, self.table.basis_product, self.dim
+        for i, a in lc:
+            for jn, b in rc:
+                n, j = divmod(jn, dim)
+                prod = bp(i, j)
+                if prod:
+                    field.axpy(row, [(n * dim + m, e) for m, e in prod],
+                               field.mul(a, b))
+
+
+def side_products(table, basis, x, parts, left):
+    """The nonzero one-sided products of x with each basis element k.
+
+    Returns (position of k in ``basis``, [(parts[m], scalar)]) for every k
+    with k.x (``left``) or x.k nonzero, the list holding the terms of that
+    product.  Each product is the sum of ``basis_product`` over the terms
+    of x, which almost always has one term.
+    """
+    bp, field = table.basis_product, table.field
+    out = []
+    if len(x) == 1:
+        # a basis product has distinct terms, none zero: no sum to form
+        (j, c), = x.items()
+        mul = field.mul
+        for p, k in enumerate(basis):
+            prod = bp(k, j) if left else bp(j, k)
+            if prod:
+                out.append((p, [(parts[m], mul(c, e)) for m, e in prod]))
+        return out
+    for p, k in enumerate(basis):
+        acc = {}
+        for j, c in x.items():
+            prod = bp(k, j) if left else bp(j, k)
+            if prod:
+                field.axpy(acc, prod, c)
+        if acc:
+            out.append((p, [(parts[m], a) for m, a in acc.items()]))
+    return out
 
 
 def block_rank(keyed_rows, field):
@@ -193,37 +239,50 @@ class BimoduleMap:
     def _keyed_rows(self, lefts):
         """(block key, row) for the basis tensors kx (x) ky, kx in lefts[s].
 
-        Term t = (s2, u, v) of generator s sends kx (x) ky to kx.u (x)
-        v.ky.  The right coordinates of v.ky are formed once per (t, ky),
-        kept per ky for the t with v.ky != 0, and those of kx.u once per
-        (kx, t).  A row is the sum, over the terms in order with both
-        products nonzero, of the outer sums of the two columns.
+        Term t = (s2, u_t, v_t) of generator s sends kx (x) ky to
+        kx.u_t (x) v_t.ky, so the row of kx (x) ky is the sum over t of
+        kx.u_t (x) v_t.ky, and a term whose left or right product is zero
+        adds nothing to it.  So the nonzero v_t.ky are listed once per
+        term over all ky, the nonzero kx.u_t once per term over all kx
+        (:func:`side_products`), and only pairs of them are added.
+
+        The rows of one kx are filled together, one ``add_tensor`` per
+        nonzero kx.u_t, in a stack: the right parts of the row of the p-th
+        ky are shifted by p * ``codomain.dim``, and every column is below
+        ``codomain.dim``, so the rows cannot mix.  The terms are added in
+        order, so each row comes out as a sum in the same order as term by
+        term.  The work follows the nonzero products, not rows times
+        terms.  Every ky gives a row, empty or not, for each kx with some
+        kx.u_t nonzero.
         """
         table, cod = self.table, self.codomain
-        mul, one = table.multiply, table.field.one
+        src_of, tgt_of = table.src_of, table.tgt_of
+        add, dim = cod.add_tensor, cod.dim
         for s, terms in enumerate(self.gen_images):
             right = self.domain.right[s]
-            rcs = [[] for _ in right]
-            for t, (s2, _, v) in enumerate(terms):
-                for p, ky in enumerate(right):
-                    vy = mul(v, {ky: one})
-                    if vy:
-                        rcs[p].append((t, cod.right_coords(s2, vy)))
-            for kx in lefts[s]:
-                lcs = []
-                for s2, u, _ in terms:
-                    xu = mul({kx: one}, u)
-                    lcs.append(xu and cod.left_coords(s2, xu))
-                if not any(lcs):
+            rights = []
+            per_left = [[] for _ in lefts[s]]
+            for t, (s2, u, v) in enumerate(terms):
+                rights.append([
+                    (p * dim + b, d)
+                    for p, rc in side_products(table, right, v,
+                                               cod.right_parts(s2), False)
+                    for b, d in rc])
+                for p, lc in side_products(table, lefts[s], u,
+                                           cod.left_parts(s2), True):
+                    per_left[p].append((t, lc))
+            for kx, lcs in zip(lefts[s], per_left):
+                if not lcs:
                     continue
-                src = table.src_of[kx]
-                for p, ky in enumerate(right):
-                    row = {}
-                    for t, rc in rcs[p]:
-                        lc = lcs[t]
-                        if lc:
-                            cod.add_tensor(row, lc, rc)
-                    yield (src, table.tgt_of[ky]), row
+                stack = {}
+                for t, lc in lcs:
+                    add(stack, lc, rights[t])
+                rows = [{} for _ in right]
+                for col, c in stack.items():
+                    rows[col // dim][col % dim] = c
+                src = src_of[kx]
+                for ky, row in zip(right, rows):
+                    yield (src, tgt_of[ky]), row
 
 
 def bimodule_spaces(table):

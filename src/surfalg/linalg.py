@@ -114,10 +114,11 @@ def rank_of_rows(rows, field):
     that does not vanish adds one pivot: its first column in dict order,
     with the row scaled to 1 there.  Any nonzero entry is a valid pivot
     for counting, and dict order follows the order the row's entries were
-    made in, so the choice is deterministic.  No row is modified, and no
+    made in, so the choice is deterministic.  A row of one entry scales
+    to ``{c: 1}`` with no arithmetic.  No row is modified, and no
     transform is kept: the rank equals ``RowSolver(rows, field).rank``.
     """
-    axpy_, inv, neg = field.axpy, field.inv, field.neg
+    axpy_, inv, neg, one = field.axpy, field.inv, field.neg, field.one
     pivots = {}  # pivot column -> pivot row, 1 at the pivot column
     for row in rows:
         r = row
@@ -128,7 +129,8 @@ def rank_of_rows(rows, field):
                     break
             else:
                 c = next(iter(r))
-                pivots[c] = axpy_({}, r.items(), inv(r[c]))
+                pivots[c] = ({c: one} if len(r) == 1
+                             else axpy_({}, r.items(), inv(r[c])))
                 break
             if r is row:
                 r = dict(row)

@@ -1,5 +1,6 @@
 """Bimodule resolution of the algebra over its enveloping algebra."""
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 import surfalg.bimodule as bim
+from surfalg.algebra import AlgebraTable
 from surfalg.bimodule import (
     CERTIFICATE_PRIMES,
     AlgebraTarget,
@@ -25,6 +27,8 @@ from surfalg.fields import PrimeField
 from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
+from test_closed_form import FIELDS, deformed_triangle
+from test_syzygy import CASES, presentation
 
 
 # frozen oracle for the one-triangle disc algebra with unit weights:
@@ -210,6 +214,138 @@ def test_theta_rank_matches_per_element_rows(build):
     _, _, _, p3 = bimodule_spaces(t)
     theta = map_theta(t, p3)
     assert theta["rank"]() == per_element_theta_rank(t, p3, theta["xis"])
+
+
+# -- rows from the nonzero one-sided products ----------------------------
+
+
+def oracle_keyed_rows(bmap, lefts):
+    """The rows of ``BimoduleMap._keyed_rows``, built term by term.
+
+    Every one-sided product kx.u and v.ky is a ``table.multiply`` call,
+    each row loops over every generator term, and a tensor is added as
+    the outer sum of its columns (into A: as ``multiply(kx.u, v.ky)``).
+    """
+    table, cod = bmap.table, bmap.codomain
+    field = table.field
+    mul, one = table.multiply, field.one
+    pos = {}
+
+    def add(row, s2, xu, vy):
+        if isinstance(cod, AlgebraTarget):
+            field.axpy(row, mul(xu, vy).items(), one)
+            return
+        if s2 not in pos:
+            pos[s2] = ({k: p for p, k in enumerate(cod.left[s2])},
+                       {k: p for p, k in enumerate(cod.right[s2])})
+        lpos, rpos = pos[s2]
+        nr = len(cod.right[s2])
+        for kx, c in xu.items():
+            base = cod.offsets[s2] + lpos[kx] * nr
+            field.axpy(row, [(base + rpos[ky], d) for ky, d in vy.items()],
+                       c)
+
+    for s, terms in enumerate(bmap.gen_images):
+        right = bmap.domain.right[s]
+        for kx in lefts[s]:
+            xus = [mul({kx: one}, u) for _, u, _ in terms]
+            if not any(xus):
+                continue
+            for ky in right:
+                row = {}
+                for (s2, _, v), xu in zip(terms, xus):
+                    vy = xu and mul(v, {ky: one})
+                    if vy:
+                        add(row, s2, xu, vy)
+                yield (table.src_of[kx], table.tgt_of[ky]), row
+
+
+def unit_lefts(bmap):
+    """The left factors of the unit rows: e_i for each summand."""
+    t = bmap.table
+    return [[t.index[("e", i)]] for i, _ in bmap.domain.summands]
+
+
+def row_cases(table):
+    """(name, map, left factors) for the full and unit rows of d0, d, R
+    and S (S only where the border allows it), and the unit rows of
+    theta's Casimir map P3 -> P3."""
+    p0, p1, p2, p3 = bimodule_spaces(table)
+    maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
+            "R": map_R(table, p1, p2)}
+    try:
+        maps["S"] = map_S(table, p2, p3)
+    except ValueError:
+        pass
+    cases = []
+    for name, bmap in maps.items():
+        cases.append((name, bmap, bmap.domain.left))
+        cases.append((name + " units", bmap, unit_lefts(bmap)))
+    xis = map_theta(table, p3)["xis"]
+    casimir = BimoduleMap(p3, p3, [xis[v] for v in table.quiver.vertices])
+    cases.append(("theta units", casimir, unit_lefts(casimir)))
+    return cases
+
+
+def assert_rows_match_oracle(table):
+    for name, bmap, lefts in row_cases(table):
+        got = list(bmap._keyed_rows(lefts))
+        assert got == list(oracle_keyed_rows(bmap, lefts)), name
+
+
+@pytest.mark.parametrize("raise_by", (0, 1))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_rows_match_multiply_oracle(name, kind, field, raise_by):
+    # same block keys, same row order, equal rows (empty ones included)
+    rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
+    assert_rows_match_oracle(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng, raise_by)))
+
+
+@pytest.mark.parametrize("raise_by", (0, 1, 2))
+def test_rows_match_multiply_oracle_deformed_f2(raise_by):
+    rng = random.Random(f"deformed/F2/{raise_by}")
+    assert_rows_match_oracle(sa.build_algebra(
+        deformed_triangle(sa.PrimeField(2), rng, True, raise_by)))
+
+
+@pytest.mark.parametrize("field", [sa.QQ, sa.PrimeField(101)])
+def test_stage_ranks_make_no_multiply_call(field):
+    # every stage rank reads its rows off basis_product; over Q the ranks
+    # are those of the table reduced mod p
+    t = fx.triangle_algebra(m=2, field=field)
+    depth, stages, calls = [0], [], []
+    orig_multiply = AlgebraTable.multiply
+
+    def multiply(table, x, y):
+        if depth[0]:
+            calls.append((x, y))
+        return orig_multiply(table, x, y)
+
+    def counted(method):
+        def wrapper(bmap):
+            if not depth[0]:
+                stages.append((bmap.domain.dim, bmap.codomain.dim))
+            depth[0] += 1
+            try:
+                return method(bmap)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    with mock.patch.object(AlgebraTable, "multiply", multiply), \
+            mock.patch.object(BimoduleMap, "rank",
+                              counted(BimoduleMap.rank)), \
+            mock.patch.object(BimoduleMap, "unit_rank",
+                              counted(BimoduleMap.unit_rank)):
+        rep = verify_bimodule_periodicity(t)
+    assert rep["verdict"] == "PERIODIC_PERIOD_4"
+    d = rep["dims"]
+    assert stages == [(d["P0"], d["algebra"]), (d["P1"], d["P0"]),
+                      (d["P2"], d["P1"]), (d["P3"], d["P2"]),
+                      (d["P3"], d["P3"])]
+    assert calls == []
 
 
 def test_deformed_nonzero_border_needs_char_2():
