@@ -27,9 +27,7 @@ two nonzero entries per row, at the socle partners of each basis element,
 so the Gram matrix, its symmetry and its rank cost O(dim).
 """
 
-from fractions import Fraction
-
-from .fields import PrimeField, RationalField
+from .fields import RationalField
 from .linalg import det_int, rank_of_rows
 from .quiver import border, g_structure, is_tetrahedral, skey
 
@@ -346,39 +344,6 @@ class AlgebraTable:
 def build_algebra(pres):
     """Build the multiplication table of a presentation."""
     return AlgebraTable(pres)
-
-
-def reduced_presentation(pres, p):
-    """A presentation over Q with its parameters and border reduced mod p.
-
-    Returns the same quiver, kind and weights over F_p, with each
-    parameter c sent to c mod p and each border value b to b mod p.
-    Returns None unless every c is a p-unit and no denominator of a c or
-    a b is divisible by p.  The structure constants of the table are 1, c,
-    1/c and b/c (see ``AlgebraTable._build_right_table``), so they then lie
-    in the local ring Z_(p), and everything built from them by ring
-    operations over Q is p-integral and reduces mod p to what the same
-    construction gives over F_p.
-
-    Raises:
-        ValueError: unless the presentation is over Q.
-    """
-    if pres.field.char != 0:
-        raise ValueError("only presentations over Q are reduced mod p")
-
-    def mod_p(x):
-        x = Fraction(x)
-        if x.denominator % p == 0:
-            return None
-        return x.numerator * pow(x.denominator, -1, p) % p
-
-    c = {rep: mod_p(val) for rep, val in pres.c.items()}
-    b = {v: mod_p(val) for v, val in pres.b.items()}
-    # a c that is None (p divides its denominator) or 0 is no p-unit
-    if not all(c.values()) or None in b.values():
-        return None
-    return Presentation(pres.quiver, kind=pres.kind, field=PrimeField(p),
-                        m=pres.m, c=c, b=b or None)
 
 
 def el_add(field, x, y):

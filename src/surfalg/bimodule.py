@@ -26,19 +26,21 @@ of the basis product.  The unit rows e_i (x) ky give the rank of d0
 (e_u (x) k -> k, the basis of A) and all of theta: e_v (x) k -> xi_v . k
 is theta's row at k (:func:`map_theta`).
 
-Over Q the stage ranks are certified by ranks of the same rows reduced mod
-a fixed prime, and computed in Fraction arithmetic only when that falls
-short; see :func:`verify_bimodule_periodicity`.
+Each P_i is a projective right A-module, so by Nakayama's lemma a passing
+stage is decided on the top complex X (x)_A A/J, J the radical, which is
+far smaller than X: where a summand A e_i (x) e_j A of P_i has
+dim(A e_i) . dim(e_j A) basis tensors, its top A e_i (x) e_j (A/J) has
+one, kx (x) e_j, per basis element kx of A e_i, and A (x)_A A/J is A/J,
+one idempotent per vertex.  So the top complex has dimensions n, dim A,
+2 dim A, 2 dim A, dim A, n.  A row of a top map f (x) A/J is the row of
+kx (x) e_j restricted to the columns whose right factor is an idempotent
+(:meth:`BimoduleMap._top_rows`).  Full-size rows are built only for a
+stage that the top complex does not certify; see
+:func:`verify_bimodule_periodicity`.
 """
 
-from .algebra import build_algebra, dual_basis, el_scale, reduced_presentation
+from .algebra import dual_basis, el_scale
 from .linalg import rank_of_rows
-
-# Primes for the modular rank certificate over Q, tried in this order: the
-# two largest primes below 2**30.  A residue below 2**30 is one digit of a
-# CPython int, so the F_p arithmetic of the certificate takes the
-# interpreter's one-digit paths.  Any prime is as sound.
-CERTIFICATE_PRIMES = (1073741789, 1073741783)
 
 
 class Codomain:
@@ -56,6 +58,15 @@ class Codomain:
     columns plus n.dim, that is in row n of rows stacked one after
     another.  ``_keyed_rows`` fills all rows of one left factor this way.
     """
+
+    def top(self, row):
+        """The part of a row of kx (x) e_j that lies in the top complex.
+
+        A row of :meth:`BimoduleMap._top_rows` is built from the right
+        part of e_j only, and in P (x)_A A/J the tensors k (x) e_j are
+        basis vectors, so a row into a BimoduleSpace is kept whole.
+        """
+        return row
 
     def flatten(self, terms):
         """Flat coordinates of a list of (summand, left, right) tensors."""
@@ -97,6 +108,8 @@ class BimoduleSpace(Codomain):
             self.offsets.append(off)
             off += len(lb) * len(rb)
         self.dim = off
+        # dim P (x)_A A/J: one kx (x) e_j per left basis element kx
+        self.top_dim = sum(map(len, self.left))
 
     def left_parts(self, s):
         return self.left_part[s]
@@ -127,6 +140,11 @@ class AlgebraTarget(Codomain):
         return range(self.dim)
 
     right_parts = left_parts
+
+    def top(self, row):
+        """The image of a row in A/J: its idempotent columns."""
+        basis = self.table.basis
+        return {k: c for k, c in row.items() if basis[k][0] == "e"}
 
     def add_tensor(self, row, lc, rc):
         """row += the sum of a.b.(b_i . b_j) over (i, a) in lc, (j, b) in rc."""
@@ -210,15 +228,21 @@ class BimoduleMap:
             (s2, mul(x, u), mul(v, y))
             for s, x, y in terms for s2, u, v in self.gen_images[s]])
 
-    def unit_rank(self):
+    def unit_rank(self, top=False):
         """Rank of the unit rows, the images of e_i (x) ky, for e_i the
-        left idempotent of each summand and every ky."""
+        left idempotent of each summand and every ky; with ``top``, of
+        their top rows, the images of e_i (x) e_j in the top complex."""
         table = self.table
         units = [[table.index[("e", i)]] for i, _ in self.domain.summands]
-        return block_rank(self._keyed_rows(units), table.field)
+        rows = self._top_rows(units) if top else self._keyed_rows(units)
+        return block_rank(rows, table.field)
 
-    def rank(self):
+    def rank(self, top=False):
         """Rank of the matrix whose rows are the images of basis tensors.
+
+        With ``top``, the rank of the top map f (x) A/J instead, one row
+        per basis element kx (x) e_j of the top of the domain
+        (:meth:`_top_rows`).
 
         The unit rows (:meth:`unit_rank`) are some of the rows, so their
         rank bounds the rank from below; the number of columns,
@@ -230,6 +254,8 @@ class BimoduleMap:
         other maps have far fewer unit rows than columns.
         """
         dom, cols = self.domain, self.codomain.dim
+        if top:
+            return block_rank(self._top_rows(dom.left), self.table.field)
         if sum(map(len, dom.right)) >= cols:
             r = self.unit_rank()
             if r == cols:
@@ -283,6 +309,37 @@ class BimoduleMap:
                 src = src_of[kx]
                 for ky, row in zip(right, rows):
                     yield (src, tgt_of[ky]), row
+
+    def _top_rows(self, lefts):
+        """(block key, row) of the top map at kx (x) e_j, kx in lefts[s].
+
+        e_j is the right idempotent of summand s, the one basis vector of
+        its right factor e_j A mod J.  Term t = (s2, u_t, v_t) sends
+        kx (x) e_j to kx.u_t (x) v_t, whose top is top(v_t) . (kx.u_t (x)
+        e_j), top(v) the coefficient of e_j in v: the radical terms of v_t
+        lie in P J.  So the row is that of kx (x) e_j in
+        :meth:`_keyed_rows` restricted to the columns whose right factor
+        is an idempotent, and only the terms with top(v_t) nonzero are
+        formed.  Into A the row is then cut to its idempotent columns
+        (:meth:`Codomain.top`).  Rows are keyed (s(kx), j) as in
+        :func:`block_rank`.
+        """
+        table, cod = self.table, self.codomain
+        add, src_of = cod.add_tensor, table.src_of
+        for s, terms in enumerate(self.gen_images):
+            j = self.domain.summands[s][1]
+            e = table.index[("e", j)]
+            rows = [{} for _ in lefts[s]]
+            for s2, u, v in terms:
+                c = v.get(e)
+                if c is None:
+                    continue
+                rc = [(cod.right_parts(s2)[e], c)]
+                for p, lc in side_products(table, lefts[s], u,
+                                           cod.left_parts(s2), True):
+                    add(rows[p], lc, rc)
+            for kx, row in zip(lefts[s], rows):
+                yield (src_of[kx], j), cod.top(row)
 
 
 def bimodule_spaces(table):
@@ -442,44 +499,13 @@ def map_theta(table, p3):
     the terms of xi_v.  That is the unit row e_v (x) k of the bimodule map
     P3 -> P3 sending the generator of summand v to xi_v (P3 and P0 are the
     same bimodule): e_v . b = b for every b in e_v A.  So ``rank`` is that
-    map's :meth:`BimoduleMap.unit_rank`, one row per basis element of A.
+    map's :meth:`BimoduleMap.unit_rank`, one row per basis element of A,
+    and ``rank(top=True)`` the rank of theta (x) A/J, whose row at e_v is
+    the sum of top(b*) . (b (x) e_v).
     """
     xis = {v: xi_element(table, v) for v in table.quiver.vertices}
     casimir = BimoduleMap(p3, p3, [xis[v] for v in table.quiver.vertices])
     return {"xis": xis, "rank": casimir.unit_rank}
-
-
-def _modular_ranks(table):
-    """Stage rank callables over the table reduced mod a prime, or None.
-
-    The prime is the first of CERTIFICATE_PRIMES for which
-    :func:`reduced_presentation` exists; with none, or over F_p, there is
-    no reduced table.  Each callable builds its map on first use through
-    the module-level ``map_*`` names.  The theta callable returns None when
-    the symmetrizing form degenerates mod p, so it never raises.
-    """
-    if table.field.char != 0:
-        return None
-    reductions = (reduced_presentation(table.pres, p)
-                  for p in CERTIFICATE_PRIMES)
-    pres = next((r for r in reductions if r is not None), None)
-    if pres is None:
-        return None
-    mod = build_algebra(pres)
-    p0, p1, p2, p3 = bimodule_spaces(mod)
-
-    def theta():
-        try:
-            rank = map_theta(mod, p3)["rank"]
-        except ValueError:
-            return None
-        return rank()
-
-    return {"d0": lambda: map_d0(mod, p0).rank(),
-            "d": lambda: map_d(mod, p0, p1).rank(),
-            "R": lambda: map_R(mod, p1, p2).rank(),
-            "S": lambda: map_S(mod, p2, p3).rank(),
-            "theta": theta}
 
 
 def verify_bimodule_periodicity(table):
@@ -491,32 +517,44 @@ def verify_bimodule_periodicity(table):
     the first failing stage, which distinguishes the singular tetrahedral
     algebras (not periodic) from all other weighted surface algebras.
 
-    Over Q each stage rank is first taken mod a prime p (the first of
-    CERTIFICATE_PRIMES that :func:`reduced_presentation` accepts), on the
-    same rows built from the table reduced mod p.  The result is exact:
+    Each stage is first decided on the top complex Xbar = X (x)_A A/J of
+    the complex X: 0 -> A -> P3 -> P2 -> P1 -> P0 -> A -> 0, and its rank
+    is built from full-size rows only when Xbar does not certify it.  The
+    certificate is exact:
 
-    * Upper bounds.  rank d0 <= dim A, its number of columns; rank theta
-      <= dim A, its number of rows.  For d, R and S the composite with the
-      previous map is checked to be zero exactly over Q (on generators,
-      which suffices for bimodule maps), so the image lies in the kernel
-      of the previous map and rank <= dim(codomain) - rank(previous),
-      the previous rank being exact already.  With a nonzero composite
-      there is no bound and the rank is computed over Q.
-    * Lower bound.  The structure constants 1, c, 1/c, b/c are p-integral
-      with p-units c, and the rows of every map are built from them by
-      ring operations, so each row over Q is p-integral and reduces to the
-      row over F_p.  The theta rows also use the dual basis; when the
-      Gram matrix is invertible mod p (else the reduced dual basis raises
-      and theta is computed over Q), its inverse over Q is p-integral and
-      reduces to the inverse mod p.  A nonzero minor mod p lifts to a
-      nonzero minor over Q, so rank over Q >= rank mod p.
+    * J.  The words and socle elements, the basis elements that are not
+      idempotents, span a two-sided ideal I: no product of two of them
+      has an idempotent term, and I is nilpotent (every relation lies in
+      the square of the arrow ideal, as ``Presentation`` asks mn >= 3).
+      So I lies in J, and A/I = K^n is semisimple, so J lies in I: J = I,
+      and top(a), the idempotent part of a, is the image of a in A/J.
+    * Xbar.  P (x)_A A/J has basis kx (x) e_j, kx in the left factor
+      A e_i of a summand and e_j its right idempotent, and f (x) A/J
+      sends kx (x) e_j to the sum over terms t of top(v_t) . (kx.u_t (x)
+      e_j); into A it is top(kx.u_t.v_t) (:meth:`BimoduleMap._top_rows`).
+      theta (x) A/J sends e_v to the sum of top(b*) . (b (x) e_v).
+    * Lemma.  X is a bounded complex of finitely generated projective
+      right A-modules, and its composites d0 d, d R, R S and S theta are
+      checked to be zero exactly, on generators (which suffices for
+      bimodule maps).  Let X be exact at the positions before a stage's
+      and Xbar exact there and at the stage's own.  The rightmost
+      remaining map onto the kernel before it is onto by Nakayama, so it
+      splits, its kernel is a projective summand, and the truncated
+      complex has the same Xbar homology: X is exact at the stage.
+      Conversely, an exact bounded complex of projectives splits, so it
+      stays exact after (x) A/J.  So the top certificate of a stage
+      fails exactly when the stage itself fails.
 
-    So a rank mod p that meets its upper bound is the exact rank over Q.
-    A rank mod p that falls short is discarded, and the rank is computed
-    over Q: a failing stage, such as exact_at_P1 for the singular
-    tetrahedral algebras, always reports an exact rank.  The composite
-    checks and the theta elements used by the composite and socle checks
-    are always exact over Q.  Tables over F_p use their own field only.
+    So a stage whose composite is zero and whose top rank is dim Pbar
+    minus the rank of the previous top map has the rank expected of it,
+    dim P minus the rank of the previous map; for d0 the top rank n
+    (onto A/J) gives rank dim A (onto A).  theta is certified when
+    S theta = 0, Xbar is exact at Pbar3 (dim Pbar3 - rank Sbar = n) and
+    thetabar is injective (rank n); then rank theta = dim A.  A stage
+    whose certificate fails gets its rank from the full-size rows over
+    the table's own field, as reported, and no later stage uses the
+    certificate.  The composite checks and the socle check always use
+    the full maps.
 
     Raises:
         ValueError: unless the kind is weighted or deformed, or when a
@@ -526,20 +564,24 @@ def verify_bimodule_periodicity(table):
         raise ValueError(
             "bimodule periodicity requires kind 'weighted' or 'deformed'")
     q = table.quiver
+    n = len(q.vertices)
     p0, p1, p2, p3 = bimodule_spaces(table)
     dims = space_dims(table, (p0, p1, p2, p3))
     maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
             "R": map_R(table, p1, p2), "S": map_S(table, p2, p3)}
-    modular = _modular_ranks(table)
     stages = []
     ranks = {}
+    # ranks of the top maps, one per certified stage; a stage whose
+    # previous stage is not here is not certified
+    top = {}
 
-    def rank(key, bound, exact):
-        """The exact rank of a stage: mod p when that meets the bound."""
-        if modular is not None and bound is not None \
-                and modular[key]() == bound:
-            return bound
-        return exact()
+    def rank(key, top_expected, expected, full):
+        """``expected`` if the top rank is ``top_expected``, else the rank
+        of the full-size rows; with ``top_expected`` None, no certificate."""
+        if top_expected is not None and full(top=True) == top_expected:
+            top[key] = top_expected
+            return expected
+        return full()
 
     def report(ok):
         failing = None if ok else next(
@@ -550,7 +592,7 @@ def verify_bimodule_periodicity(table):
             "failing_stage": failing,
         }
 
-    ranks["d0"] = rank("d0", table.dim, maps["d0"].rank)
+    ranks["d0"] = rank("d0", n, table.dim, maps["d0"].rank)
     stages.append({"name": "d0_surjective", "ok": ranks["d0"] == table.dim,
                    "rank": ranks["d0"], "expected": table.dim})
     if not stages[-1]["ok"]:
@@ -564,7 +606,9 @@ def verify_bimodule_periodicity(table):
         comp = all(not maps[prev].apply_flat(img)
                    for img in maps[key].gen_images)
         expected = space.dim - ranks[prev]
-        ranks[key] = rank(key, expected if comp else None, maps[key].rank)
+        top_expected = (space.top_dim - top[prev]
+                        if comp and prev in top else None)
+        ranks[key] = rank(key, top_expected, expected, maps[key].rank)
         stages.append({"name": name, "ok": comp and ranks[key] == expected,
                        "composite_zero": comp, "rank": ranks[key],
                        "expected": expected})
@@ -573,7 +617,9 @@ def verify_bimodule_periodicity(table):
 
     theta = map_theta(table, p3)
     comp = all(not maps["S"].apply_flat(theta["xis"][v]) for v in q.vertices)
-    ranks["theta"] = rank("theta", table.dim, theta["rank"])
+    exact_at_p3 = top.get("S") == p3.top_dim - n
+    ranks["theta"] = rank("theta", n if comp and exact_at_p3 else None,
+                          table.dim, theta["rank"])
     kernel_dim = p3.dim - ranks["S"]
     socle_seen = all(
         p3.flatten([(s, x, table.multiply(y, table.socle_element(v)))

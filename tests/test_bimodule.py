@@ -12,7 +12,6 @@ import surfalg as sa
 import surfalg.bimodule as bim
 from surfalg.algebra import AlgebraTable
 from surfalg.bimodule import (
-    CERTIFICATE_PRIMES,
     AlgebraTarget,
     BimoduleMap,
     bimodule_spaces,
@@ -23,7 +22,6 @@ from surfalg.bimodule import (
     map_theta,
     verify_bimodule_periodicity,
 )
-from surfalg.fields import PrimeField
 from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
@@ -312,8 +310,8 @@ def test_rows_match_multiply_oracle_deformed_f2(raise_by):
 
 @pytest.mark.parametrize("field", [sa.QQ, sa.PrimeField(101)])
 def test_stage_ranks_make_no_multiply_call(field):
-    # every stage rank reads its rows off basis_product; over Q the ranks
-    # are those of the table reduced mod p
+    # every stage rank reads its rows off basis_product, the top ranks of
+    # the certificate included
     t = fx.triangle_algebra(m=2, field=field)
     depth, stages, calls = [0], [], []
     orig_multiply = AlgebraTable.multiply
@@ -324,12 +322,12 @@ def test_stage_ranks_make_no_multiply_call(field):
         return orig_multiply(table, x, y)
 
     def counted(method):
-        def wrapper(bmap):
+        def wrapper(bmap, *args, **kwargs):
             if not depth[0]:
                 stages.append((bmap.domain.dim, bmap.codomain.dim))
             depth[0] += 1
             try:
-                return method(bmap)
+                return method(bmap, *args, **kwargs)
             finally:
                 depth[0] -= 1
         return wrapper
@@ -392,13 +390,19 @@ def test_casimir_socle_pairing_nonzero():
         assert flat, v
 
 
-# -- the modular rank certificate over Q ---------------------------------
+# -- the top-complex certificate -----------------------------------------
+
+
+def no_top_rows(bmap, lefts):
+    """Top rows that certify nothing: every top rank is 0."""
+    return iter(())
 
 
 def exact_report(table):
-    """The report with the certificate off: every rank over Q."""
-    with mock.patch.object(bim, "reduced_presentation",
-                           lambda pres, p: None):
+    """The report with the top certificate off: every rank from full-size
+    rows.  Every top rank the certificate expects is positive (n, or
+    dim Pbar - rank of the previous top map), so each stage falls back."""
+    with mock.patch.object(BimoduleMap, "_top_rows", no_top_rows):
         return verify_bimodule_periodicity(table)
 
 
@@ -416,15 +420,37 @@ def recorded(owner, name, field_of):
         yield seen
 
 
-def rank_fields():
-    """Fields of the rows that reach the bimodule block ranks."""
-    return recorded(bim, "rank_of_rows", lambda rows, field: field)
+@contextmanager
+def rank_calls():
+    """Record (domain dim, codomain dim, top) for every stage rank call:
+    ``BimoduleMap.rank`` for d0, d, R and S, and ``unit_rank`` for theta
+    (``map_theta``'s rank).  Calls made inside another are not counted."""
+    seen, depth = [], [0]
+
+    def outermost(method):
+        def wrapper(bmap, top=False):
+            if not depth[0]:
+                seen.append((bmap.domain.dim, bmap.codomain.dim, top))
+            depth[0] += 1
+            try:
+                return method(bmap, top=top)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    with mock.patch.object(BimoduleMap, "rank",
+                           outermost(BimoduleMap.rank)), \
+            mock.patch.object(BimoduleMap, "unit_rank",
+                              outermost(BimoduleMap.unit_rank)):
+        yield seen
 
 
-def assert_certified_equal(table, prime):
-    with rank_fields() as fields:
+def assert_certified_equal(table):
+    """The top certificate decides every stage, and the report is the one
+    built from full-size rows."""
+    with rank_calls() as calls:
         rep = verify_bimodule_periodicity(table)
-    assert fields and set(fields) == {PrimeField(prime)}
+    assert len(calls) == 5 and all(top for _, _, top in calls)
     assert rep == exact_report(table)
     return rep
 
@@ -456,37 +482,32 @@ def test_certificate_deformed_over_q_with_zero_border():
     t = sa.build_algebra(sa.Presentation(
         fx.triangle_quiver(), kind="deformed", field=sa.QQ,
         b={1: zero, 2: zero, 3: zero}))
-    rep = assert_certified_equal(t, CERTIFICATE_PRIMES[0])
+    rep = assert_certified_equal(t)
     assert rep["ranks"] == DISC_RANKS
 
 
-@pytest.mark.parametrize("inverted", [False, True])
-def test_certificate_skips_a_prime_the_parameters_need(inverted):
-    # c = p is 0 mod the first prime p; c = 1/p has p in its denominator
-    p = CERTIFICATE_PRIMES[0]
-    c = Fraction(1, p) if inverted else Fraction(p)
+# large primes, in the numerator, the denominator and a product of two
+P, Q = 1073741789, 1073741783
+
+
+@pytest.mark.parametrize("c", [Fraction(P), Fraction(1, P), Fraction(P * Q)],
+                         ids=["p", "inverse_p", "pq"])
+def test_certificate_with_large_prime_parameters(c):
     t = fx.weighted(fx.triangle_quiver(), c={"alpha": c})
-    rep = assert_certified_equal(t, CERTIFICATE_PRIMES[1])
+    rep = assert_certified_equal(t)
     assert rep["verdict"] == "PERIODIC_PERIOD_4"
-
-
-def test_certificate_falls_back_when_no_prime_fits():
-    c = Fraction(CERTIFICATE_PRIMES[0] * CERTIFICATE_PRIMES[1])
-    t = fx.weighted(fx.triangle_quiver(), c={"alpha": c})
-    with rank_fields() as fields:
-        rep = verify_bimodule_periodicity(t)
-    assert set(fields) == {sa.QQ}
     assert rep["ranks"] == DISC_RANKS
 
 
 def test_certificate_singular_tetrahedral_recomputes_R_exactly():
     t = fx.tetrahedral_algebra()
-    with recorded(BimoduleMap, "rank", lambda bmap: bmap.table.field) \
-            as fields:
+    with rank_calls() as calls:
         rep = verify_bimodule_periodicity(t)
-    # d0 and d meet their bounds mod p; R falls short and runs over Q
-    p = PrimeField(CERTIFICATE_PRIMES[0])
-    assert fields == [p, p, p, sa.QQ]
+    # d0 and d are certified on the top complex; R's top rank falls short,
+    # and only R is ranked on full-size rows
+    d = rep["dims"]
+    assert calls == [(d["P0"], d["algebra"], True), (d["P1"], d["P0"], True),
+                     (d["P2"], d["P1"], True), (d["P2"], d["P1"], False)]
     assert rep["ranks"] == SINGULAR_TETRA_RANKS
     assert rep["failing_stage"] == "exact_at_P1"
     last = rep["stages"][-1]
@@ -494,11 +515,94 @@ def test_certificate_singular_tetrahedral_recomputes_R_exactly():
 
 
 def test_certificate_fast_path_taken():
-    # a silent fallback to Q would pass every equality test above
+    # a silent fallback to full-size rows would pass every equality test
     t = fx.triangle_algebra(m=2)
-    with rank_fields() as fields:
+    with rows_seen() as sizes, rank_calls() as calls:
         rep = verify_bimodule_periodicity(t)
     assert rep["verdict"] == "PERIODIC_PERIOD_4"
     assert len(rep["ranks"]) == 5
-    assert fields and all(f == PrimeField(CERTIFICATE_PRIMES[0])
-                          for f in fields)
+    assert sizes and max(sizes) <= 2 * t.dim
+    assert len(calls) == 5 and all(top for _, _, top in calls)
+
+
+def assert_top_matches_exact(table):
+    """The certified report equals ``exact_report``; full-size rows are
+    built for the failing stage of a NOT_VERIFIED report only.  A nonzero
+    border away from characteristic 2 must raise on both paths."""
+    try:
+        with rank_calls() as calls:
+            rep = verify_bimodule_periodicity(table)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            exact_report(table)
+        return
+    assert rep == exact_report(table)
+    tops = [top for _, _, top in calls]
+    assert all(tops[:-1])
+    assert tops[-1] == (rep["verdict"] == "PERIODIC_PERIOD_4")
+
+
+@pytest.mark.parametrize("raise_by", (0, 1))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_top_certificate_matches_exact(name, kind, field, raise_by):
+    rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
+    assert_top_matches_exact(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng, raise_by)))
+
+
+@pytest.mark.parametrize("raise_by", (0, 1, 2))
+def test_top_certificate_matches_exact_deformed_f2(raise_by):
+    rng = random.Random(f"deformed/F2/{raise_by}")
+    assert_top_matches_exact(sa.build_algebra(
+        deformed_triangle(sa.PrimeField(2), rng, True, raise_by)))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("a", [1, 2])
+def test_top_certificate_matches_exact_tetrahedral(a, field):
+    # a = 1 is singular: the fallback of the failing stage R is compared too
+    assert_top_matches_exact(fx.tetrahedral_algebra(a=a, field=FIELDS[field]))
+
+
+def assert_radical_is_nilpotent_ideal(t):
+    """The words and socle elements span a nilpotent two-sided ideal I:
+    no product of one of them with any basis element, on either side, has
+    an idempotent term, and the terms of products of basis elements of I
+    never lead back to a factor (the graph from i to the terms of b_i b_j,
+    j in I, is acyclic), so a product of more than |I| of them is zero."""
+    rad = [i for i, b in enumerate(t.basis) if b[0] != "e"]
+    succ = {i: set() for i in rad}
+    for i in rad:
+        for j in range(t.dim):
+            for prod in (t.basis_product(i, j), t.basis_product(j, i)):
+                assert all(t.basis[k][0] != "e" for k, _ in prod), (i, j)
+            if t.basis[j][0] != "e":
+                succ[i].update(k for k, _ in t.basis_product(i, j))
+    # Kahn's algorithm: every node is removed iff the graph is acyclic
+    indeg = {i: 0 for i in rad}
+    for i in rad:
+        for k in succ[i]:
+            indeg[k] += 1
+    ready = [i for i in rad if not indeg[i]]
+    removed = 0
+    while ready:
+        i = ready.pop()
+        removed += 1
+        for k in succ[i]:
+            indeg[k] -= 1
+            if not indeg[k]:
+                ready.append(k)
+    assert removed == len(rad)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_radical_basis_spans_nilpotent_ideal(name, kind, field):
+    rng = random.Random(f"{name}/{kind}/{field}/0")
+    assert_radical_is_nilpotent_ideal(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng)))
+
+
+def test_radical_basis_spans_nilpotent_ideal_deformed_f2():
+    assert_radical_is_nilpotent_ideal(fx.deformed_triangle_f2())
