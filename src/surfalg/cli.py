@@ -287,20 +287,34 @@ def cmd_form(doc, args):
 
 
 def _simple_report(table, v, seed):
-    report = mods.verify_simple_resolution(table, v)
-    chain = [mods.simple_module(table, v)]
-    for _ in range(4):
-        k, _info = mods.syzygy(chain[-1])
-        chain.append(k)
-    iso4, _cert = mods.module_iso(chain[4], chain[0], seed=seed)
-    early = [j for j in (1, 2, 3)
-             if chain[j].total_dim == chain[0].total_dim
-             and mods.module_iso(chain[j], chain[0], seed=seed)[0]]
-    report["syzygy_dims"] = [m.total_dim for m in chain]
-    report["omega4_isomorphic_to_simple"] = iso4
-    report["early_return"] = early
-    report["ok"] = (report["verdict"] == "PERIODIC_PERIOD_4" and iso4
-                    and not early
+    """The per-vertex report of ``resolve-simple`` and
+    ``verify-simple-periodicity``.
+
+    The syzygy fields are read off the verified resolution
+    (:func:`modules.read_simple_syzygies`, whose docstring gives the
+    argument).  Only when no reading can be made, as when a stage fails
+    for a singular tetrahedral algebra, are four syzygies computed
+    generically and compared with the simple by ``module_iso``.
+    """
+    report, fields = mods.read_simple_syzygies(table, v)
+    if fields is None:
+        chain = [mods.simple_module(table, v)]
+        for _ in range(4):
+            k, _info = mods.syzygy(chain[-1])
+            chain.append(k)
+        fields = {
+            "syzygy_dims": [m.total_dim for m in chain],
+            "omega4_isomorphic_to_simple":
+                mods.module_iso(chain[4], chain[0], seed=seed)[0],
+            "early_return": [
+                j for j in (1, 2, 3)
+                if chain[j].total_dim == chain[0].total_dim
+                and mods.module_iso(chain[j], chain[0], seed=seed)[0]],
+        }
+    report.update(fields)
+    report["ok"] = (report["verdict"] == "PERIODIC_PERIOD_4"
+                    and report["omega4_isomorphic_to_simple"]
+                    and not report["early_return"]
                     and report["omega2_dim"] == report["omega2_expected"])
     return report
 

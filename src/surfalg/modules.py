@@ -11,6 +11,11 @@ The main consumers are the projective resolutions: every simple module
 over a weighted (or socle-deformed) surface algebra has an explicit
 complex of projectives of length four, and this module verifies its
 exactness by rank bookkeeping, reporting the precise stage of any failure.
+A verified complex whose maps land in the radical is a minimal
+resolution, so the simple's syzygies are read off it
+(:func:`read_simple_syzygies`); the generic :func:`syzygy` and
+:func:`module_iso` serve the uniserial check and the cases where that
+reading cannot be made.
 
 Maps between projectives are built from basis products: a left
 multiplication by an element is a sum of closed-form products
@@ -417,6 +422,19 @@ def _resolution_maps(table, v):
     return al, ab, pi1, pi2, pi3
 
 
+def _lands_in_radical(pi):
+    """Whether every row of a map between projective sums avoids the
+    generator coordinates (j, e_w) of its codomain, w the vertex of
+    summand j: then its image lies in the radical of the codomain."""
+    index = pi.domain.table.index
+    codomain = pi.codomain
+    for j, w in enumerate(codomain.components):
+        pos = codomain.layout_pos[w][(j, index[("e", w)])]
+        if any(pos in row for row in pi.mats[w]):
+            return False
+    return True
+
+
 def verify_simple_resolution(table, v):
     """Verify the period-four projective resolution of the simple at v.
 
@@ -431,6 +449,59 @@ def verify_simple_resolution(table, v):
     Raises:
         ValueError: unless the kind is weighted or deformed.
     """
+    return _simple_resolution(table, v)[0]
+
+
+def read_simple_syzygies(table, v):
+    """Verify the resolution at v and read the simple's syzygies off it.
+
+    Returns (report, fields): ``report`` is that of
+    :func:`verify_simple_resolution`, and ``fields`` holds the entries
+    ``syzygy_dims``, ``omega4_isomorphic_to_simple`` and ``early_return``
+    that four generic :func:`syzygy` steps and :func:`module_iso` searches
+    would give, or is None when no reading can be made.  The reading is
+    exact by the following argument.
+
+    Every stage passes, so 0 -> S_v -> P_v -> P2 -> P1 -> P_v -> S_v -> 0
+    is exact.  If moreover each map lands in the radical of its codomain,
+    the sequence is a minimal projective resolution: each P_(i+1) maps
+    onto ker pi_i with kernel im pi_(i+2) inside rad P_(i+1), so it is a
+    projective cover.  pi1 landing in rad P_v is already a stage, and the
+    socle inclusion S_v -> P_v lands in J; pi2 and pi3 are checked here on
+    their own rows (:func:`_lands_in_radical`), not taken from the element
+    formulas.  Minimal syzygies are unique up to isomorphism, so
+    Omega^1 = rad P_v, Omega^2 = ker pi1 (dimension dim P1 - r1, the
+    report's ``omega2_dim``), Omega^3 = ker pi2 = im pi3 (dimension r3)
+    and Omega^4 = ker pi3, with r1 and r3 the ranks of the stages
+    ``image_pi1_is_radical`` and ``kernel_pi2_equals_image_pi3``.  The
+    stage ``kernel_pi3_is_socle`` makes Omega^4 = K s_v, one-dimensional
+    at v; arrows act on it nilpotently, hence by zero, so it is isomorphic
+    to S_v (``module_iso`` finds this deterministically: the hom space is
+    one-dimensional and its basis map is invertible).  Omega^j can be
+    isomorphic to S_v only at total dimension 1, so ``early_return`` is
+    empty when none of Omega^1, Omega^2, Omega^3 has dimension 1; if one
+    does, no reading is made and the caller falls back to the generic
+    chain.  No reading is made either when a stage fails, as for a
+    singular tetrahedral algebra, or when pi2 or pi3 leaves the radical.
+    """
+    report, pi2, pi3 = _simple_resolution(table, v)
+    if (report["failing_stage"] is not None or not _lands_in_radical(pi2)
+            or not _lands_in_radical(pi3)):
+        return report, None
+    # r3 is the rank of the stage kernel_pi2_equals_image_pi3.
+    middle = [report["dims"]["P0"] - 1, report["omega2_dim"],
+              report["stages"][4]["rank"]]
+    if 1 in middle:
+        return report, None
+    return report, {
+        "syzygy_dims": [1] + middle + [1],
+        "omega4_isomorphic_to_simple": True,
+        "early_return": [],
+    }
+
+
+def _simple_resolution(table, v):
+    """The report of :func:`verify_simple_resolution`, with pi2 and pi3."""
     if table.kind not in ("weighted", "deformed"):
         raise ValueError(
             "simple resolutions require kind 'weighted' or 'deformed'")
@@ -447,11 +518,9 @@ def verify_simple_resolution(table, v):
     stages = []
 
     r1 = pi1.rank()
-    e_pos = p_v.layout_pos[v][(0, table.index[("e", v)])]
-    in_radical = all(e_pos not in row for row in pi1.mats[v])
     stages.append({
         "name": "image_pi1_is_radical",
-        "ok": in_radical and r1 == p_v.total_dim - 1,
+        "ok": _lands_in_radical(pi1) and r1 == p_v.total_dim - 1,
         "rank": r1,
         "expected_rank": p_v.total_dim - 1,
     })
@@ -506,7 +575,7 @@ def verify_simple_resolution(table, v):
     omega2 = ker1
     expected_omega2 = table.mn[q.f[al]] + table.mn[q.f[ab]] + 1
     failing = next((s["name"] for s in stages if not s["ok"]), None)
-    return {
+    report = {
         "vertex": v,
         "alpha": al,
         "alpha_bar": ab,
@@ -518,6 +587,7 @@ def verify_simple_resolution(table, v):
         "verdict": "PERIODIC_PERIOD_4" if failing is None else "NOT_VERIFIED",
         "failing_stage": failing,
     }
+    return report, pi2, pi3
 
 
 def uniserial_module(table, arrow):
