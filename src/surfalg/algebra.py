@@ -14,6 +14,18 @@ g-orbits, four bound quiver algebras are supported:
 Here A_a is the g-word of length m n - 1 starting at a, and B_a = a A_g(a)
 is the full cycle of length m n, which equals c_a^{-1} w_i in the socle.
 
+The g-word rule.  The path a g(a) ... g^(l-1)(a) of length l is, in the
+algebra, e_s(a) for l = 0, the basis word w(a, l) for 1 <= l <= m n - top
+(top is 2 for ``string`` and 1 otherwise), c_a^{-1} s_s(a) for l = m n
+except for ``string``, and 0 at every other length.  The relations give it:
+a g-word extends along g by the right table until it tops out, the full
+cycle B_a of length m n is c_a^{-1} times the socle element, and no arrow
+extends the socle.  ``AlgebraTable.word_element`` is this
+rule.  Every product of algebra elements and every g-word path in the
+library is read off it or off ``AlgebraTable.basis_product``, which uses
+it; the table of right products by one arrow defines the algebra and gives
+the modules their arrow actions.
+
 Elements are stored in the monomial basis: one idempotent per vertex, the
 g-words of each admissible length, and (except for ``string``) one socle
 element per vertex.  An element is a sparse dict basis index -> nonzero
@@ -221,8 +233,9 @@ class AlgebraTable:
         """Product of basis elements i and j, as a tuple of (index, scalar).
 
         The product is read off in closed form, at a cost independent of
-        the weights, not walked arrow by arrow.  Why this equals ``_walk``
-        on the word of b_j (the oracle of the tests):
+        the weights, not walked arrow by arrow.  Why this equals b_i
+        multiplied by the arrows of b_j one ``right`` lookup at a time (the
+        walk, kept as the oracle of the tests):
 
         * an idempotent factor gives the other factor, and a socle factor
           next to any non-idempotent gives 0: no arrow extends the socle
@@ -236,9 +249,12 @@ class AlgebraTable:
           length k >= 2 only along g, by its g-successor g^k(y), so a term
           w(y, k) meets the next arrow g(a) only if g^k(y) = g(a), and then
           every further arrow of b_j is again the g-successor.  The term
-          grows to length L = k + l - 1: a word while L <= mn - top, at
-          L = mn the socle times c_y^-1 (one extension past the last word,
-          except for ``string``, which stops there), and 0 beyond.  A socle
+          grows to length L = k + l - 1, and the right table's
+          g-extensions are the g-word rule: w(y, L) is ``word_element(y,
+          L)`` (a word while L <= mn - top, at L = mn the socle times
+          c_y^-1 except for ``string``, which stops there, and 0 beyond).
+          So the term times the rest of b_j is its coefficient times
+          ``word_element(y, L)`` (:meth:`_continue`).  A socle
           term is killed by any further arrow, so it survives only when
           l = 1.
         """
@@ -270,30 +286,9 @@ class AlgebraTable:
         """A term of b_i a times g(a) ... g^(length-1)(a), or None for 0."""
         k, cf = term
         bk = self.basis[k]
-        if bk[0] != "w":
+        if bk[0] != "w" or self.gd.g_power(bk[1], bk[2]) != self.gd.g[a]:
             return None
-        y, total = bk[1], bk[2] + length - 1
-        if self.gd.g_power(y, bk[2]) != self.gd.g[a]:
-            return None
-        mn = self.mn[y]
-        if total <= mn - self.top:
-            return self.index[("w", y, total)], cf
-        if total == mn and self.kind != "string":
-            soc = self.index[("s", self.quiver.src[y])]
-            return soc, self.field.mul(cf, self.c_inv[y])
-        return None
-
-    def _walk(self, cur, arrows):
-        """The element cur multiplied on the right by each arrow in turn."""
-        field = self.field
-        for a in arrows:
-            nxt = {}
-            for k, cf in cur.items():
-                field.axpy(nxt, self.right.get((k, a), ()), cf)
-            cur = nxt
-            if not cur:
-                break
-        return cur
+        return self._word_term(bk[1], bk[2] + length - 1, cf)
 
     def multiply(self, x, y):
         """Product of two elements (dicts basis index -> scalar)."""
@@ -313,21 +308,26 @@ class AlgebraTable:
         return {self.index[("w", a, 1)]: self.field.one}
 
     def word_element(self, a, length):
-        """The g-word of the given length starting at a; length 0 gives e."""
+        """The path a g(a) ... g^(length-1)(a) as an element: the g-word
+        rule of the module docstring, for any length >= 0."""
+        word = self._word_term(a, length, self.field.one)
+        return {} if word is None else {word[0]: word[1]}
+
+    def _word_term(self, a, length, cf):
+        """cf times the g-word rule, as one term (basis index, scalar), or
+        None for 0; cf must be nonzero."""
         if length == 0:
-            return self.idempotent(self.quiver.src[a])
-        return {self.index[("w", a, length)]: self.field.one}
+            return self.index[("e", self.quiver.src[a])], cf
+        mn = self.mn[a]
+        if length <= mn - self.top:
+            return self.index[("w", a, length)], cf
+        if length == mn and self.kind != "string":
+            return (self.index[("s", self.quiver.src[a])],
+                    self.field.mul(cf, self.c_inv[a]))
+        return None
 
     def socle_element(self, v):
         return {self.index[("s", v)]: self.field.one}
-
-    def element_from_path(self, arrows, coeff=None):
-        """Evaluate a path (sequence of composable arrows) in the algebra."""
-        coeff = self.field.one if coeff is None else coeff
-        if not arrows:
-            raise ValueError("empty path has no source idempotent")
-        start = self.index[("e", self.quiver.src[arrows[0]])]
-        return self._walk({start: coeff}, arrows)
 
     def basis_of(self, source=None, target=None):
         """Indices of basis elements with the given source and/or target."""
@@ -687,7 +687,12 @@ def scaling_isomorphism_check(table1, table2, scale=None):
 
     Multiplicativity is checked on every pair of basis elements; linearity
     and bijectivity are immediate because each basis element maps to a
-    nonzero multiple of itself.
+    nonzero multiple of itself.  Basis element j of table2 is t times the
+    path of its arrows x, t the product of its ``chain`` scalar and the
+    scale[x], so its image is t times that path in table1: a g-word, read
+    off the g-word rule as t . ``word_element(first arrow, length)``.  An
+    image that is 0, a word past table1's socle, fails the check and is
+    named in the report.
 
     Args:
         table1: tetrahedral algebra with parameters (a, b, c, d).
@@ -712,7 +717,8 @@ def scaling_isomorphism_check(table1, table2, scale=None):
         if bj[0] == "e":
             img = table1.idempotent(bj[1])
         else:
-            img = table1.element_from_path(arrows, t)
+            img = el_scale(field, t,
+                           table1.word_element(arrows[0], len(arrows)))
         images.append(img)
         if not img:
             return False, {"scale": scale, "failure": {"basis": list(bj)}}

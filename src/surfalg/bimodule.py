@@ -135,6 +135,8 @@ class AlgebraTarget(Codomain):
     def __init__(self, table):
         self.table = table
         self.dim = table.dim
+        # dim A/J: one idempotent per vertex
+        self.top_dim = len(table.quiver.vertices)
 
     def left_parts(self, s):
         return range(self.dim)
@@ -245,22 +247,28 @@ class BimoduleMap:
         (:meth:`_top_rows`).
 
         The unit rows (:meth:`unit_rank`) are some of the rows, so their
-        rank bounds the rank from below; the number of columns,
-        ``codomain.dim``, bounds it from above.  So when there are at
-        least as many unit rows as columns, their rank is tried first, and
-        if it reaches ``codomain.dim`` it is the rank.  Otherwise every
+        rank bounds the rank from below; the number of columns of the
+        matrix being ranked, ``codomain.dim`` (``codomain.top_dim`` with
+        ``top``), bounds it from above.  So when there are at least as
+        many unit rows as columns, their rank is tried first, and if it
+        reaches the number of columns it is the rank.  Otherwise every
         row is used.  This decides d0 (P0 -> A) from dim A rows: its unit
-        rows e_u (x) k -> k, for k in e_u A, are the basis of A.  The
-        other maps have far fewer unit rows than columns.
+        rows e_u (x) k -> k, for k in e_u A, are the basis of A; and its
+        top map from its n unit top rows e_u (x) e_u -> e_u, against the
+        n columns of A/J.  The other maps have far fewer unit rows than
+        columns.
         """
-        dom, cols = self.domain, self.codomain.dim
+        dom, cod = self.domain, self.codomain
         if top:
-            return block_rank(self._top_rows(dom.left), self.table.field)
-        if sum(map(len, dom.right)) >= cols:
-            r = self.unit_rank()
+            units, cols = len(dom.summands), cod.top_dim
+        else:
+            units, cols = sum(map(len, dom.right)), cod.dim
+        if units >= cols:
+            r = self.unit_rank(top)
             if r == cols:
                 return r
-        return block_rank(self._keyed_rows(dom.left), self.table.field)
+        rows = self._top_rows if top else self._keyed_rows
+        return block_rank(rows(dom.left), self.table.field)
 
     def _keyed_rows(self, lefts):
         """(block key, row) for the basis tensors kx (x) ky, kx in lefts[s].
@@ -363,29 +371,35 @@ def bimodule_dims(table):
     return space_dims(table, bimodule_spaces(table))
 
 
-def rho(table, arrows, coeff):
-    """The derivation-style lift of a path into P1.
+def rho(table, arrows, coeff, sidx):
+    """The derivation-style lift of a relation path into P1.
 
     A path a_1 ... a_m maps to the sum over k of
-    (a_1 ... a_{k-1}) (x) (a_{k+1} ... a_m) placed in the summand of a_k,
-    with the empty prefix and suffix read as idempotents.
+    coeff . (a_1 ... a_{k-1}) (x) (a_{k+1} ... a_m) placed in the summand
+    ``sidx[a_k]`` of a_k, with the empty prefix and suffix read as
+    idempotents.
+
+    Each prefix and suffix is one ``word_element`` lookup, not a product.
+    The paths lifted here (:func:`map_R`) are (a, f(a)), A_abar =
+    w(abar, mn - 1) and, for ``deformed``, B_abar = w(abar, mn).  Each
+    prefix a_1 ... a_{k-1} and suffix a_{k+1} ... a_m of them is empty, a
+    single arrow, or a g-subword of length at most mn - 1, so by the
+    g-word rule of :mod:`surfalg.algebra` it is ``word_element(a_1,
+    k - 1)`` or ``word_element(a_{k+1}, m - k)``, and the empty suffix
+    is e_t(a_k).  The bimodule complex is built for ``weighted`` and
+    ``deformed`` only, where words run up to length mn - 1, so none of
+    these elements is zero and every k gives a term.
     """
-    q = table.quiver
-    sidx = {a: p for p, a in enumerate(q.arrows)}
+    field = table.field
+    last = len(arrows) - 1
     out = []
     for k, a in enumerate(arrows):
-        if k == 0:
-            x = {table.index[("e", q.src[a])]: coeff}
+        x = el_scale(field, coeff, table.word_element(arrows[0], k))
+        if k < last:
+            y = table.word_element(arrows[k + 1], last - k)
         else:
-            x = table.element_from_path(arrows[:k], coeff)
-        if not x:
-            continue
-        if k == len(arrows) - 1:
-            y = table.idempotent(q.tgt[a])
-        else:
-            y = table.element_from_path(arrows[k + 1:])
-        if y:
-            out.append((sidx[a], x, y))
+            y = table.idempotent(table.quiver.tgt[a])
+        out.append((sidx[a], x, y))
     return out
 
 
@@ -415,17 +429,18 @@ def map_R(table, p1, p2):
     """P2 -> P1, lifting the commutation relations through rho."""
     q = table.quiver
     field = table.field
+    sidx = {a: p for p, a in enumerate(q.arrows)}
     gens = []
     for a in q.arrows:
         ab = q.bar[a]
-        terms = rho(table, (a, q.f[a]), field.one)
+        terms = rho(table, (a, q.f[a]), field.one, sidx)
         terms.extend(rho(table, table.word_arrows(ab, table.mn[ab] - 1),
-                         field.neg(table.c[ab])))
+                         field.neg(table.c[ab]), sidx))
         if table.kind == "deformed" and q.f[a] == a:
             bb = table.pres.b.get(q.src[a], field.zero)
             if bb != field.zero:
                 terms.extend(rho(table, table.word_arrows(ab, table.mn[ab]),
-                                 field.neg(bb)))
+                                 field.neg(bb), sidx))
         gens.append(terms)
     return BimoduleMap(p2, p1, gens)
 

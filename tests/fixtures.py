@@ -138,6 +138,38 @@ def deformed_triangle_f2(b=(1, 1, 1)):
         b={1: b[0], 2: b[1], 3: b[2]}))
 
 
+def walk(table, cur, arrows):
+    """The element cur multiplied on the right by each arrow in turn.
+
+    Each step is one lookup per term in the table's right products by an
+    arrow, which define the algebra.  This is the slow oracle for the
+    closed-form products and the g-word rule (``basis_product``,
+    ``word_element``), which never walk.
+    """
+    field = table.field
+    for a in arrows:
+        nxt = {}
+        for k, cf in cur.items():
+            field.axpy(nxt, table.right.get((k, a), ()), cf)
+        cur = nxt
+        if not cur:
+            break
+    return cur
+
+
+def path_element(table, arrows, coeff):
+    """coeff times a nonempty path of composable arrows, by the walk."""
+    start = table.index[("e", table.quiver.src[arrows[0]])]
+    return walk(table, {start: coeff}, arrows)
+
+
+def walked_word(table, a, length):
+    """The path a g(a) ... g^(length-1)(a), by the walk from e_s(a)."""
+    start = table.index[("e", table.quiver.src[a])]
+    return walk(table, {start: table.field.one},
+                table.word_arrows(a, length))
+
+
 def quiver_doc(quiver, **extra):
     """A CLI input document for a quiver."""
     doc = {

@@ -12,6 +12,8 @@ from surfalg.algebra import el_add, form_value
 from surfalg.fields import PrimeField
 
 import fixtures as fx
+from test_closed_form import FIELDS
+from test_syzygy import WORD_CASES, presentation
 
 
 def all_kind_tables():
@@ -119,7 +121,7 @@ def test_defining_relations_hold():
         for rel in sa.defining_relations(t):
             acc = {}
             for coeff, path in rel["terms"]:
-                acc = el_add(F, acc, t.element_from_path(list(path), coeff))
+                acc = el_add(F, acc, fx.path_element(t, path, coeff))
             assert acc == {}, (t.kind, rel["name"])
 
 
@@ -139,8 +141,20 @@ def test_word_overflow_hits_socle():
     # B word of length m n equals the socle for parameter 1
     a = "alpha"
     arrows = t.word_arrows(a, t.mn[a])
-    el = t.element_from_path(list(arrows))
+    el = fx.path_element(t, arrows, F.one)
     assert el == t.socle_element(t.quiver.src[a])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", WORD_CASES)
+def test_word_element_matches_walk(name, kind, field):
+    # the g-word rule at every length, through the socle and past it
+    rng = random.Random(f"{name}/{kind}/{field}")
+    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng))
+    for a in t.quiver.arrows:
+        for length in range(t.mn[a] + 2):
+            assert t.word_element(a, length) == fx.walked_word(t, a, length), \
+                (kind, a, length)
 
 
 def test_cartan_matrix_values():
@@ -265,6 +279,59 @@ def test_scaling_isomorphism():
     bad["alpha"] = Fraction(1)
     ok2, _ = sa.scaling_isomorphism_check(t_full, t_prod, scale=bad)
     assert not ok2
+
+
+def walk_scaling_check(table1, table2, scale):
+    """The reference route for ``scaling_isomorphism_check``: each image
+    multiplied out along its arrows by the walk."""
+    field = table1.field
+    images = []
+    for j in range(table2.dim):
+        s0, arrows = table2.chain(j)
+        t = s0
+        for x in arrows:
+            t = field.mul(t, scale[x])
+        bj = table2.basis[j]
+        if bj[0] == "e":
+            img = table1.idempotent(bj[1])
+        else:
+            img = fx.path_element(table1, arrows, t)
+        images.append(img)
+        if not img:
+            return False, {"scale": scale, "failure": {"basis": list(bj)}}
+    failure = None
+    for i in range(table2.dim):
+        for j in range(table2.dim):
+            lhs = {}
+            for k, ck in table2.basis_product(i, j):
+                field.axpy(lhs, images[k].items(), ck)
+            if lhs != table1.multiply(images[i], images[j]):
+                failure = {"i": list(table2.basis[i]),
+                           "j": list(table2.basis[j])}
+                break
+        if failure:
+            break
+    return failure is None, {"scale": scale, "failure": failure}
+
+
+def test_scaling_check_matches_walk():
+    a, b, c, d = Fraction(2), Fraction(3), Fraction(1, 5), Fraction(7)
+    t_full = fx.tetrahedral_algebra(a=a, b=b, c=c, d=d)
+    t_prod = fx.tetrahedral_algebra(a=a * b * c * d)
+    scale = sa.tetrahedral_scaling(t_full, t_prod)
+    bad = dict(scale, alpha=Fraction(1))
+    # one g-orbit at weight 2: its words run past t_full's socle
+    t_long = fx.weighted(fx.tetrahedral_quiver(), m={"alpha": 2},
+                         c={"beta": a * b * c * d})
+    results = []
+    for table2, sc in ((t_prod, scale), (t_prod, bad), (t_long, scale)):
+        got = sa.scaling_isomorphism_check(t_full, table2, scale=sc)
+        assert got == walk_scaling_check(t_full, table2, sc)
+        results.append(got)
+    assert [ok for ok, _ in results] == [True, False, False]
+    assert "i" in results[1][1]["failure"]
+    kind, arrow, length = results[2][1]["failure"]["basis"]
+    assert kind == "w" and length == t_full.mn[arrow] + 1
 
 
 def test_deformed_needs_border():

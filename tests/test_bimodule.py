@@ -151,6 +151,25 @@ def test_d0_rank_from_unit_rows():
     assert sum(sizes) == t.dim
 
 
+def test_d0_top_rank_from_unit_rows():
+    # the unit top rows e_u (x) e_u -> e_u already span A/J, so the top
+    # rank of d0 builds n rows, not one per basis element of A
+    t = fx.triangle_algebra(m=2)
+    n = len(t.quiver.vertices)
+    p0 = bimodule_spaces(t)[0]
+    built = []
+    top_rows = BimoduleMap._top_rows
+
+    def counted(bmap, lefts):
+        rows = list(top_rows(bmap, lefts))
+        built.extend(rows)
+        return rows
+
+    with mock.patch.object(BimoduleMap, "_top_rows", counted):
+        assert map_d0(t, p0).rank(top=True) == n
+    assert len(built) == n
+
+
 def test_unit_row_shortcut_falls_back_to_all_rows():
     # P0 -> A with e_v (x) e_v -> the loop at v: the unit rows loop . k fall
     # short of dim A, so every row counts, and the rank is that of all rows
@@ -285,10 +304,50 @@ def row_cases(table):
     return cases
 
 
+def walk_rho(table, arrows, coeff, sidx):
+    """The reference route for ``rho``: each prefix and suffix multiplied
+    out along its arrows by the walk, and zero ones skipped."""
+    out = []
+    for k, a in enumerate(arrows):
+        if k == 0:
+            x = {table.index[("e", table.quiver.src[a])]: coeff}
+        else:
+            x = fx.path_element(table, arrows[:k], coeff)
+        if not x:
+            continue
+        if k == len(arrows) - 1:
+            y = table.idempotent(table.quiver.tgt[a])
+        else:
+            y = fx.path_element(table, arrows[k + 1:], table.field.one)
+        if y:
+            out.append((sidx[a], x, y))
+    return out
+
+
+def walk_R_images(table):
+    """R's generator images, each relation path lifted by ``walk_rho``."""
+    q, field = table.quiver, table.field
+    sidx = {a: p for p, a in enumerate(q.arrows)}
+    gens = []
+    for a in q.arrows:
+        ab = q.bar[a]
+        paths = [((a, q.f[a]), field.one),
+                 (table.word_arrows(ab, table.mn[ab] - 1),
+                  field.neg(table.c[ab]))]
+        bb = table.pres.b.get(q.src[a], field.zero)
+        if table.kind == "deformed" and q.f[a] == a and bb != field.zero:
+            paths.append((table.word_arrows(ab, table.mn[ab]), field.neg(bb)))
+        gens.append([term for path, coeff in paths
+                     for term in walk_rho(table, path, coeff, sidx)])
+    return gens
+
+
 def assert_rows_match_oracle(table):
     for name, bmap, lefts in row_cases(table):
         got = list(bmap._keyed_rows(lefts))
         assert got == list(oracle_keyed_rows(bmap, lefts)), name
+        if name == "R":
+            assert bmap.gen_images == walk_R_images(table)
 
 
 @pytest.mark.parametrize("raise_by", (0, 1))

@@ -1,7 +1,8 @@
 """The closed-form basis product, the socle-partner Gram matrix and dual basis.
 
 Each is checked against the slow path it replaces: the product against
-multiplying b_i by the arrows of b_j one at a time, the Gram matrix against
+multiplying b_i by the arrows of b_j one at a time (``fixtures.walk``, the
+arrow walk, which lives only in the tests), the Gram matrix against
 computing every entry of the blocks e_v A e_u x e_u A e_v, and the dual
 basis against solving with the transposed Gram matrix by elimination.
 """
@@ -27,7 +28,7 @@ def walk_product(t, i, j):
     if t.tgt_of[i] != t.src_of[j]:
         return ()
     scale, arrows = t.chain(j)
-    return tuple(sorted(t._walk({i: scale}, arrows).items()))
+    return tuple(sorted(fx.walk(t, {i: scale}, arrows).items()))
 
 
 def assert_products_match_walk(t):

@@ -10,8 +10,10 @@ border at the same raises, it builds the rows of d0, d, R and S (full and
 unit rows) and the unit rows of theta's Casimir map.  Each must equal
 ``oracle_keyed_rows`` of ``tests/test_bimodule.py``, whose tests run
 raises 0 and 1 only: the same block keys, in the same order, with equal
-rows.  Prints the number of rows and tables compared; exits 1 at the
-first mismatch.
+rows.  R's generator images must also equal ``walk_R_images`` there, the
+relation paths lifted with every prefix and suffix multiplied out by the
+arrow walk of ``tests/fixtures.py``.  Prints the number of rows and
+tables compared; exits 1 at the first mismatch.
 """
 
 import os
@@ -23,7 +25,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import surfalg as sa  # noqa: E402
 
-from test_bimodule import oracle_keyed_rows, row_cases  # noqa: E402
+from test_bimodule import (  # noqa: E402
+    oracle_keyed_rows, row_cases, walk_R_images)
 from test_closed_form import FIELDS, deformed_triangle  # noqa: E402
 from test_syzygy import CASES, presentation  # noqa: E402
 
@@ -53,6 +56,10 @@ def main():
                       f"dim {t.dim}")
                 return 1
             rows += len(got)
+            if name == "R" and bmap.gen_images != walk_R_images(t):
+                print(f"MISMATCH R generator images of {label} over "
+                      f"{t.field}, dim {t.dim}")
+                return 1
         count += 1
     print(f"bimodule rows equal the multiply oracle: {rows} rows "
           f"of {count} tables")

@@ -1,4 +1,4 @@
-"""Exhaustive check of the closed-form basis product against the arrow walk.
+"""Exhaustive check of the closed-form products against the arrow walk.
 
     python3 tools/check_products.py
 
@@ -8,10 +8,13 @@ weight raise 0, 1 and 2 over the least legal weights, plus ``deformed`` on
 the triangle over F2 and over Q with nonzero and with zero borders, it
 compares ``AlgebraTable.basis_product`` on every pair of basis elements with
 the product obtained by multiplying b_i by the arrows of b_j one at a time
-(``walk_product`` of ``tests/test_closed_form.py``, whose tests run a
-smaller sample of the same comparison).  Parameters are seeded nonzero
-draws.  Prints the number of pairs and tables compared; exits 1 at the
-first mismatch.
+(``walk_product`` of ``tests/test_closed_form.py``), and
+``AlgebraTable.word_element(a, l)`` for every arrow a and every length
+0 <= l <= mn + 1 with the path a g(a) ... walked from e_s(a)
+(``fixtures.walked_word``).  The walk lives in ``tests/fixtures.py`` only;
+the tests run a smaller sample of the same comparisons.  Parameters are
+seeded nonzero draws.  Prints the number of pairs, words and tables
+compared; exits 1 at the first mismatch.
 """
 
 import os
@@ -44,7 +47,7 @@ def presentations(rng):
 
 def main():
     rng = random.Random(6)
-    pairs = tables = 0
+    pairs = words = tables = 0
     for pres in presentations(rng):
         t = sa.build_algebra(pres)
         for i in range(t.dim):
@@ -55,10 +58,20 @@ def main():
                           f"{t.basis[i]} * {t.basis[j]}: closed {closed}, "
                           f"walk {walked}")
                     return 1
+        for a in t.quiver.arrows:
+            for length in range(t.mn[a] + 2):
+                rule = t.word_element(a, length)
+                walked = fx.walked_word(t, a, length)
+                if rule != walked:
+                    print(f"MISMATCH {pres.kind} over {t.field} dim {t.dim}: "
+                          f"word of {a!r} length {length}: rule {rule}, "
+                          f"walk {walked}")
+                    return 1
+            words += t.mn[a] + 2
         pairs += t.dim * t.dim
         tables += 1
     print(f"closed form equals the walk on {pairs} basis pairs "
-          f"of {tables} tables")
+          f"and {words} words of {tables} tables")
     return 0
 
 
