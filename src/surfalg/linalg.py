@@ -2,12 +2,17 @@
 
 A *row* is a dict mapping column keys to nonzero scalars, and a matrix is a
 list of rows.  Column keys can be any hashable, sortable-by-str values.
-There are two elimination routines: :func:`rank_of_rows` counts pivots and
-nothing else, and :class:`RowSolver` also tracks how each echelon row
-combines the inputs, for solving and left kernels.  Both pick pivots
-deterministically, so every routine here is reproducible run to run.  Row
-updates, and element arithmetic on algebra elements (sparse rows over
-basis indices), all go through the field's own kernel ``field.axpy``.
+There are two eliminations, each keeping only what its callers read,
+since a kept transform costs one more axpy per reduction step.  A
+pivots-only loop serves :func:`rank_of_rows`, which counts pivots, and
+:func:`pivot_columns`, which picks each pivot by the least (``str``,
+``repr``) key, the rule that decides which coordinates a syzygy's cover
+takes as generators.  :class:`RowSolver` also tracks how each echelon
+row combines the inputs, for solving and left kernels.  All pick pivots
+deterministically, so every routine here is reproducible run to run.
+Row updates, and element arithmetic on algebra elements (sparse rows
+over basis indices), all go through the field's own kernel
+``field.axpy``.
 """
 
 
@@ -33,7 +38,17 @@ class RowSolver:
     """Echelonized span of a list of sparse rows, with transform tracking.
 
     Supports rank, reduction against the span, solving ``x . rows = target``
-    and the left kernel ``{x : x . rows = 0}``.
+    and the left kernel ``{x : x . rows = 0}``.  Each pivot is the least
+    column of its reduced row by (``str``, ``repr``) key.
+
+    ``kernel_rows[p]`` is the input index of the row that reduced to zero
+    and gave kernel vector p.  The kernel carries an identity block there:
+    kernel vector p is 1 at ``kernel_rows[p]`` and 0 at every other
+    kernel row's index, because the transform t of input i starts as
+    {i: 1} and only gains multiples of echelon transforms, and an echelon
+    transform touches only the input indices of echelon rows.  So for y in
+    the span of the kernel, the unique x with ``x . kernel() = y`` is
+    ``x_p = y[kernel_rows[p]]``, read off with no elimination.
     """
 
     def __init__(self, rows, field):
@@ -42,6 +57,7 @@ class RowSolver:
         self.ech = []  # list of (pivot_col, row_dict, transform_dict)
         self.pivots = {}  # pivot_col -> index into self.ech
         self._zero_transforms = []
+        self.kernel_rows = []
         for i, row in enumerate(rows):
             r = dict(row)
             t = {i: field.one}
@@ -55,6 +71,7 @@ class RowSolver:
                 self.ech.append((piv, r, t))
             else:
                 self._zero_transforms.append(t)
+                self.kernel_rows.append(i)
 
     def _reduce(self, r, t):
         """Clear the pivot columns of r in place; t (if given) tracks ``-x``.
@@ -107,19 +124,17 @@ class RowSolver:
         return [dict(t) for t in self._zero_transforms]
 
 
-def rank_of_rows(rows, field):
-    """Rank of the span of sparse rows, by rank-only elimination.
+def _pivot_rows(rows, field, pick):
+    """Pivots-only elimination: pivot column -> pivot row, 1 at its pivot.
 
     Each row is reduced against the pivot rows found so far, and a row
-    that does not vanish adds one pivot: its first column in dict order,
-    with the row scaled to 1 there.  Any nonzero entry is a valid pivot
-    for counting, and dict order follows the order the row's entries were
-    made in, so the choice is deterministic.  A row of one entry scales
-    to ``{c: 1}`` with no arithmetic.  No row is modified, and no
-    transform is kept: the rank equals ``RowSolver(rows, field).rank``.
+    that does not vanish adds one pivot, the column ``pick(r)`` of its
+    reduced row r, with the row scaled to 1 there.  A row of one entry
+    scales to ``{c: 1}`` with no arithmetic.  No row is modified, and no
+    transform is kept.
     """
     axpy_, inv, neg, one = field.axpy, field.inv, field.neg, field.one
-    pivots = {}  # pivot column -> pivot row, 1 at the pivot column
+    pivots = {}
     for row in rows:
         r = row
         while r:
@@ -128,14 +143,48 @@ def rank_of_rows(rows, field):
                 if pr is not None:
                     break
             else:
-                c = next(iter(r))
+                c = pick(r)
                 pivots[c] = ({c: one} if len(r) == 1
                              else axpy_({}, r.items(), inv(r[c])))
                 break
             if r is row:
                 r = dict(row)
             axpy_(r, pr.items(), neg(r[c]))
-    return len(pivots)
+    return pivots
+
+
+def _first_column(r):
+    return next(iter(r))
+
+
+def _least_column(r):
+    return min(r, key=_ckey)
+
+
+def rank_of_rows(rows, field):
+    """Rank of the span of sparse rows, by pivots-only elimination.
+
+    The pivot of each row is its first column in dict order: any nonzero
+    entry is a valid pivot for counting, and dict order follows the order
+    the row's entries were made in, so the choice is deterministic.  The
+    rank equals ``RowSolver(rows, field).rank``.
+    """
+    return len(_pivot_rows(rows, field, _first_column))
+
+
+def pivot_columns(rows, field):
+    """The pivot columns of ``RowSolver(rows, field)``, with no transforms.
+
+    The pivot of each row is the least column of its reduced row by
+    (``str``, ``repr``) key, as in :class:`RowSolver`.  The reduced row is
+    fixed by the rows before it, whatever the order of the steps: the
+    pivot rows restrict to an invertible (unitriangular) block on the
+    pivot columns, so exactly one vector of their span agrees with the
+    row there, and the reduced row is the row minus that vector.  So both
+    routines pick the same pivot for every row, and the returned set
+    equals ``set(RowSolver(rows, field).pivots)``.
+    """
+    return set(_pivot_rows(rows, field, _least_column))
 
 
 def det_int(mat):

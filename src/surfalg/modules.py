@@ -23,13 +23,17 @@ multiplication by an element is a sum of closed-form products
 every basis element of e_v A to a generator in one arrow step each, by
 extending the shorter g-word (:meth:`RightModule.act_words`).  So both
 cost one step per coordinate of the projective, not one per arrow of
-each basis element's word.
+each basis element's word.  A syzygy then runs one transform-tracking
+elimination per vertex, on the rows of its cover map: the generators come
+from a pivots-only elimination of the radical, and the kernel's arrow
+action is read off the identity block of the kernel basis, with no solve.
 """
 
 import random
 
 from .algebra import defining_relations, el_add, el_scale
-from .linalg import RowSolver, intersection_dim, rank_of_rows, rows_mul
+from .linalg import (RowSolver, intersection_dim, pivot_columns,
+                     rank_of_rows, rows_mul)
 
 
 class RightModule:
@@ -223,47 +227,42 @@ def module_map_from_elements(elems, domain, codomain):
     return ModuleMap(domain, codomain, mats)
 
 
-def radical_profile(module):
-    """Per-vertex radical row spaces, as RowSolver objects."""
-    q = module.table.quiver
-    field = module.table.field
-    solvers = {}
-    for v in q.vertices:
-        rows = []
-        for a in q.arrows:
-            if q.tgt[a] == v:
-                rows.extend(module.mats[a])
-        solvers[v] = RowSolver(rows, field)
-    return solvers
-
-
 def syzygy(module):
     """The kernel of a projective cover, with a minimality certificate.
 
     Returns (kernel module, info).  The cover is built from the radical:
-    at each vertex, coordinates outside the radical row space lift the top.
-    The cover map h sends the coordinate (j, k) of the cover, the basis
-    element b_k in the summand of generator j, to gen_j . b_k; all of one
-    generator's images come from one :meth:`RightModule.act_words` call,
-    one arrow step per basis element.  One RowSolver per vertex on the
-    rows of h gives both the kernel and the rank of h at that vertex: its
-    echelon rows and its left kernel together account for every row, so
-    the rank is the number of rows minus the dimension of the left kernel,
-    and h is surjective exactly when these ranks sum to the module's
-    dimension.  The certificate records that the cover is surjective and
-    that its kernel sits inside the radical of the cover (so the cover is
-    minimal and the kernel is the syzygy).
+    at each vertex, the coordinates that are not pivot columns of the
+    radical rows (the images of the arrows into the vertex) lift the top,
+    by :func:`surfalg.linalg.pivot_columns`, whose least-key rule fixes
+    which coordinates these are.  The cover map h sends the coordinate
+    (j, k) of the cover, the basis element b_k in the summand of generator
+    j, to gen_j . b_k; all of one generator's images come from one
+    :meth:`RightModule.act_words` call, one arrow step per basis element.
+
+    One RowSolver per vertex on the rows of h is the only other
+    elimination.  Its echelon rows and its left kernel together account
+    for every row, so the rank of h at the vertex is the number of rows
+    minus the dimension of the left kernel, and h is surjective exactly
+    when these ranks sum to the module's dimension.  The kernel's arrow
+    action is read off its own basis: the kernel carries an identity block
+    on the rows that reduced to zero (``RowSolver.kernel_rows``), so the
+    coordinates of the image y of a kernel vector under an arrow are the
+    entries of y there, and y lies in the kernel exactly when that
+    combination of the kernel basis gives y back, which is checked.  The
+    certificate records that the cover is surjective and that its kernel
+    sits inside the radical of the cover (so the cover is minimal and the
+    kernel is the syzygy).
     """
     table = module.table
     q = table.quiver
     field = table.field
-    rad = radical_profile(module)
     gens = []
     for v in q.vertices:
-        pivots = set(rad[v].pivots)
-        for col in range(module.dims[v]):
-            if col not in pivots:
-                gens.append((v, col))
+        radical = [row for a in q.arrows if q.tgt[a] == v
+                   for row in module.mats[a]]
+        pivots = pivot_columns(radical, field)
+        gens.extend((v, col) for col in range(module.dims[v])
+                    if col not in pivots)
     cover = projective_sum(table, [v for v, _ in gens])
     images = [module.act_words({col: field.one}, v) for v, col in gens]
     hsolvers = {w: RowSolver([images[j][k] for j, k in cover.layout[w]],
@@ -279,16 +278,23 @@ def syzygy(module):
             cover.layout_pos[v][(j, table.index[("e", v)])])
     minimal = not any(p in row for w in q.vertices for row in kbasis[w]
                       for p in gen_coord.get(w, ()))
-    solvers = {w: RowSolver(kbasis[w], field) for w in q.vertices}
+    # cover coordinate -> the kernel vector with its identity entry there
+    kpos = {w: {i: p for p, i in enumerate(hsolvers[w].kernel_rows)}
+            for w in q.vertices}
     kdims = {w: len(kbasis[w]) for w in q.vertices}
     kmats = {}
     for a in q.arrows:
+        basis, pos = kbasis[q.tgt[a]], kpos[q.tgt[a]]
         mat = []
         for row in kbasis[q.src[a]]:
-            sol = solvers[q.tgt[a]].solve(cover.act_path(row, [a]))
-            if sol is None:
+            y = cover.act_path(row, (a,))
+            x = {pos[i]: c for i, c in y.items() if i in pos}
+            back = {}
+            for p, c in x.items():
+                field.axpy(back, basis[p].items(), c)
+            if back != y:
                 raise AssertionError("kernel is not arrow-stable")
-            mat.append(sol)
+            mat.append(x)
         kmats[a] = mat
     kernel = RightModule.from_rows(table, kdims, kmats)
     info = {

@@ -1,5 +1,6 @@
 """Exact scalar fields and the sparse linear algebra kernel."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from surfalg.linalg import (
     RowSolver,
     det_int,
     intersection_dim,
+    pivot_columns,
     rank_of_rows,
     rows_mul,
 )
@@ -268,3 +270,74 @@ def test_field_axpy_drops_cancelled_entries(field):
     assert field.axpy({0: one}, [(0, one), (0, field.neg(one))], one) == \
         {0: one}
     assert field.axpy({0: one}, [(0, one)], field.neg(one)) == {}
+
+
+def random_sparse_rows(field, rng):
+    """Seeded sparse rows over int columns 0..30, whose str order differs
+    from their numeric order ("10" < "2"), with zero rows, repeated rows
+    and combinations of earlier rows mixed in."""
+    rows = []
+    for _ in range(rng.randrange(1, 40)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.35 and rows:
+            row = {}
+            for _ in range(rng.randrange(1, 4)):
+                field.axpy(row, rng.choice(rows).items(),
+                           field.of_int(rng.randrange(1, 7)))
+            rows.append(row)
+        else:
+            row = {}
+            for c in rng.sample(range(31), rng.randrange(1, 6)):
+                row[c] = field.of_int(rng.randrange(1, 101))
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [sa.QQ, PrimeField(101)],
+                         ids=["Q", "F101"])
+def test_pivot_columns_match_row_solver(field):
+    rng = random.Random(f"pivots/{field}")
+    for _ in range(200):
+        rows = random_sparse_rows(field, rng)
+        before = [dict(r) for r in rows]
+        assert pivot_columns(rows, field) == set(RowSolver(rows, field).pivots)
+        assert rows == before
+
+
+def test_pivot_columns_take_the_least_str_key():
+    F = sa.QQ
+    one = F.one
+    # numeric order would pick 2, str order picks 10
+    assert pivot_columns([{2: one, 10: one}], F) == {10}
+    assert pivot_columns([{2: one, 10: one}, {2: one}], F) == {10, 2}
+    assert pivot_columns([{}, {3: one}, {3: F.parse("2")}], F) == {3}
+
+
+@pytest.mark.parametrize("field", [sa.QQ, PrimeField(101)],
+                         ids=["Q", "F101"])
+def test_kernel_rows_carry_an_identity_block(field):
+    rng = random.Random(f"kernel_rows/{field}")
+    for _ in range(200):
+        rows = random_sparse_rows(field, rng)
+        solver = RowSolver(rows, field)
+        kernel = solver.kernel()
+        assert len(solver.kernel_rows) == len(kernel)
+        assert len(kernel) + solver.rank == len(rows)
+        assert rows_mul(kernel, rows, field) == [{} for _ in kernel]
+        for p, vec in enumerate(kernel):
+            assert {i: vec.get(i, field.zero) for i in solver.kernel_rows} \
+                == {i: (field.one if q == p else field.zero)
+                    for q, i in enumerate(solver.kernel_rows)}
+        # x . kernel = y is read off the identity block
+        if kernel:
+            x = {p: field.of_int(rng.randrange(101)) for p in
+                 range(len(kernel))}
+            y = {}
+            for p, c in x.items():
+                field.axpy(y, kernel[p].items(), c)
+            assert {p: y.get(i, field.zero)
+                    for p, i in enumerate(solver.kernel_rows)} == x

@@ -3,7 +3,11 @@
 ``RightModule.act_words`` and ``syzygy`` are checked against the slow paths
 they replace: each basis element's word applied arrow by arrow from
 ``AlgebraTable.chain``, and the syzygy whose cover map is built that way,
-with its rank taken by a separate elimination.
+with its rank taken by a separate elimination, its generators read off a
+transform-tracking ``RowSolver`` of the radical, and its kernel action
+solved by a second ``RowSolver`` on the kernel basis.  So the oracle
+shares no elimination with ``syzygy`` but the one of the cover map's
+left kernel.
 """
 
 import random
@@ -15,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import surfalg as sa
 from surfalg.algebra import el_scale
 from surfalg.linalg import RowSolver
-from surfalg.modules import ModuleMap, projective_sum, radical_profile
+from surfalg import modules
+from surfalg.modules import ModuleMap, projective_sum
 
 import fixtures as fx
 from test_closed_form import FIELDS, least_weights, nonzero
@@ -30,6 +35,14 @@ def chain_act_words(module, vec, v):
         img = module.act_path(vec, arrows)
         out[k] = el_scale(table.field, scale, img)
     return out
+
+
+def radical_profile(module):
+    """Per-vertex radical row spaces, as RowSolver objects."""
+    q = module.table.quiver
+    return {v: RowSolver([row for a in q.arrows if q.tgt[a] == v
+                          for row in module.mats[a]], module.table.field)
+            for v in q.vertices}
 
 
 def chain_syzygy(module):
@@ -241,3 +254,86 @@ def test_cover_map_takes_one_arrow_step_per_cover_basis_element(monkeypatch):
         assert on_module <= info["cover_dim"]
         module = kernel
     assert module.total_dim == 1
+
+
+def test_syzygy_rejects_a_kernel_that_is_not_arrow_stable(monkeypatch):
+    # A cover arrow that sends a radical coordinate to the generator e_v
+    # is no module map: the kernel vectors through that coordinate leave
+    # the kernel, which has no entry at e_v.
+    t = fx.triangle_algebra()
+    q, v = t.quiver, 1
+    real = modules.projective_sum
+
+    def corrupted(table, vertices):
+        p = real(table, vertices)
+        a = next(a for a in q.arrows if q.tgt[a] == vertices[0])
+        e = {w: p.layout_pos[w].get((0, table.index[("e", w)]))
+             for w in (q.src[a], q.tgt[a])}
+        row = next(i for i in range(p.dims[q.src[a]]) if i != e[q.src[a]])
+        p.mats[a][row] = {e[q.tgt[a]]: table.field.one}
+        return p
+
+    monkeypatch.setattr(modules, "projective_sum", corrupted)
+    with pytest.raises(AssertionError, match="kernel is not arrow-stable"):
+        sa.syzygy(sa.simple_module(t, v))
+
+
+def test_syzygy_runs_one_elimination_per_vertex(monkeypatch):
+    calls = {"RowSolver": 0, "solve": 0}
+    init, solve = RowSolver.__init__, RowSolver.solve
+
+    def counted_init(self, rows, field):
+        calls["RowSolver"] += 1
+        init(self, rows, field)
+
+    def counted_solve(self, target):
+        calls["solve"] += 1
+        return solve(self, target)
+
+    monkeypatch.setattr(RowSolver, "__init__", counted_init)
+    monkeypatch.setattr(RowSolver, "solve", counted_solve)
+    t = fx.triangle_algebra(m=4)
+    module = sa.simple_module(t, 1)
+    for _ in range(4):
+        calls.update(RowSolver=0, solve=0)
+        module, info = sa.syzygy(module)
+        assert info["surjective"] and info["minimal"]
+        assert calls == {"RowSolver": len(t.quiver.vertices), "solve": 0}
+    assert module.total_dim == 1
+
+
+def sheared(module, v, src, dst):
+    """The module with its basis at v changed so that x'[dst] = x[dst] +
+    x[src]: rows into v move their src entry onto dst too, and row src of
+    each arrow out of v loses row dst.  Rows are kept sorted by column."""
+    q, field = module.table.quiver, module.table.field
+    mats = {}
+    for a in q.arrows:
+        rows = [dict(r) for r in module.mats[a]]
+        if q.src[a] == v:
+            field.axpy(rows[src], rows[dst].items(), field.neg(field.one))
+        if q.tgt[a] == v:
+            for r in rows:
+                if src in r:
+                    field.axpy(r, ((dst, r[src]),), field.one)
+        mats[a] = [dict(sorted(r.items())) for r in rows]
+    return sa.RightModule.from_rows(module.table, dict(module.dims), mats)
+
+
+def test_syzygy_takes_generators_by_the_least_key_pivot():
+    # The radical of P_1 + P_1 over the triangle algebra has 16 coordinates
+    # at vertex 2, tops 0 and 8, and the radical row {10: 1}.  Moving the
+    # top 8 by coordinate 10 makes that row {8: 1, 10: 1}.  Its least-key
+    # pivot is 10, since "10" < "8", so 8 stays a generator; a pivot taken
+    # as the row's first column would make the radical coordinate 10 one,
+    # and so change the cover map and the kernel's basis.
+    t = fx.triangle_algebra(m=2)
+    q, one = t.quiver, t.field.one
+    double = sa.RightModule(t, {1: 2}, {}, check_relations=False)
+    module = sheared(sa.syzygy(double)[0], 2, 10, 8)
+    assert not module.violated_relations()
+    radical = [row for a in q.arrows if q.tgt[a] == 2
+               for row in module.mats[a]]
+    assert {8: one, 10: one} in radical
+    assert list(next(r for r in radical if 8 in r)) == [8, 10]
+    assert_syzygy_matches_oracle(module, 2)
