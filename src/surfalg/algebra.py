@@ -59,8 +59,17 @@ class Presentation:
         b: border function for ``deformed``, keyed by border vertex;
             missing vertices default to 0.
 
+    Every parameter and border value passes through ``field.coerce``
+    before any check, and is stored as the scalar it returns.  Over Q it
+    accepts an ``int`` or a ``Fraction`` and stores an integral one as an
+    ``int``; over F_p it accepts an ``int`` and stores it reduced mod p.
+    It refuses a ``bool``, a ``float`` and every other type, and over
+    F_p also a ``Fraction``.  A parameter is checked to be nonzero after
+    the coercion, so an F_p parameter divisible by p is refused.
+
     Raises:
-        ValueError: for unknown kinds, non-positive weights, zero
+        ValueError: for unknown kinds, non-positive weights, a parameter
+            or border value that ``field.coerce`` refuses, zero
             parameters, an orbit with m n < 3, a border function on a
             non-border vertex, or ``deformed`` on a quiver without border.
     """
@@ -92,7 +101,7 @@ class Presentation:
             for v, val in b.items():
                 if v not in self.border_loops:
                     raise ValueError(f"border function on non-border vertex {v!r}")
-                self.b[v] = val
+                self.b[v] = self.field.coerce(val)
         if kind == "deformed":
             if not self.border_vertices:
                 raise ValueError("kind 'deformed' requires a nonempty border")
@@ -106,6 +115,8 @@ class Presentation:
             rep = self.gd.rep.get(key)
             if rep is None:
                 raise ValueError(f"{what} keyed by unknown arrow {key!r}")
+            if what == "parameter":
+                val = self.field.coerce(val)
             if rep in out and out[rep] != val:
                 raise ValueError(
                     f"conflicting {what} values for orbit of {rep!r}"

@@ -1,8 +1,29 @@
 """Exact ground fields: arbitrary-precision rationals and prime fields.
 
-Every scalar in this package is either a ``fractions.Fraction`` (over the
-rationals) or a plain ``int`` in ``0..p-1`` (over a prime field).  No
-floating point is used anywhere.
+How scalars are represented.  Over the rationals a scalar is a plain
+``int`` when it is integral and a ``fractions.Fraction`` only when it is
+not; over a prime field it is a plain ``int`` in ``0..p-1``.  No floating
+point is used anywhere.
+
+Why the mixed rational representation is sound.  Python's ``int`` and
+``Fraction`` mix exactly: ``+``, ``-`` and ``*`` of two ints is an int,
+and of an int and a ``Fraction`` is a ``Fraction`` (possibly with
+denominator 1), so every sum and product is the exact rational value.
+An int and a ``Fraction`` of the same value compare equal and hash
+equal, so zero tests, equality checks, dict keys and sets see values, not
+types.  The one operation that could leave the rationals, ``int / int``
+(a float), appears nowhere: the only division is inside
+``RationalField.inv``, and it divides by a ``Fraction``.  Integral
+structure constants, most of them 1 and -1, so stay ints, whose
+arithmetic is far cheaper than a ``Fraction``'s.  A ``Fraction`` result
+with denominator 1 is not turned back into an int: that per-entry check
+saved nothing measurable on the benchmark ladder.
+
+Values enter the fields in three ways: ``of_int`` for small integers,
+``parse`` for a scalar's JSON form, and ``coerce`` for a library value,
+which ``Presentation`` applies to every parameter and border value.
+``coerce`` takes an int (not a bool) or, over Q, a ``Fraction``, and
+raises ValueError for anything else, so no float ever becomes a scalar.
 
 Each field also owns the package's one sparse-row kernel, ``axpy``, with
 its arithmetic written inline: it is the inner loop of element products
@@ -13,15 +34,21 @@ more than the arithmetic itself.
 from fractions import Fraction
 
 
+def _rational(x):
+    """The Fraction x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The field of rational numbers with exact ``Fraction`` arithmetic."""
+    """The field of rational numbers: an ``int`` when integral, else a
+    ``Fraction`` (see the module docstring)."""
 
     char = 0
     name = "Q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
         return a + b
@@ -56,10 +83,23 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def of_int(self, n):
-        return Fraction(n)
+        return n
+
+    def coerce(self, value):
+        """A library value as a scalar: an int (not a bool) or a Fraction.
+
+        Raises:
+            ValueError: for any other value, a float among them.
+        """
+        if isinstance(value, Fraction):
+            return _rational(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"rational scalar must be an int or a Fraction, got {value!r}")
+        return int(value)
 
     def parse(self, value):
         """Parse a scalar from its JSON form: a string ``"n"`` or ``"n/d"``."""
@@ -81,7 +121,7 @@ class RationalField:
             raise ValueError(f"malformed rational scalar {value!r}") from None
         if d == 0:
             raise ValueError(f"zero denominator in scalar {value!r}")
-        return Fraction(n, d)
+        return _rational(Fraction(n, d))
 
     def fmt(self, a):
         """Format a scalar back to its JSON string form."""
@@ -199,11 +239,18 @@ class PrimeField:
     def of_int(self, n):
         return n % self.p
 
-    def parse(self, value):
-        """Parse a scalar from its JSON form: an integer reduced mod p."""
+    def coerce(self, value):
+        """A library value as a scalar: an int (not a bool), reduced mod p.
+
+        Raises:
+            ValueError: for any other value, a Fraction or a float among them.
+        """
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"F{self.p} scalar must be an integer, got {value!r}")
-        return value % self.p
+        return int(value) % self.p
+
+    # The JSON form of an F_p scalar is the integer itself.
+    parse = coerce
 
     def fmt(self, a):
         return a % self.p

@@ -57,6 +57,59 @@ def test_presentation_validation():
                         m={"alpha": 2, "eta": 3})
 
 
+F101 = PrimeField(101)
+
+
+@pytest.mark.parametrize("value", [101, -202, 0])
+def test_fp_parameter_divisible_by_p_is_refused(value):
+    with pytest.raises(ValueError, match="must be nonzero"):
+        sa.Presentation(fx.triangle_quiver(), field=F101, c={"alpha": value})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5, 2.0,
+                                   True, "2", None])
+def test_fp_parameter_must_be_an_int(value):
+    with pytest.raises(ValueError, match="F101 scalar must be an integer"):
+        sa.Presentation(fx.triangle_quiver(), field=F101, c={"alpha": value})
+
+
+def test_fp_scalars_are_stored_reduced():
+    t = sa.build_algebra(sa.Presentation(
+        fx.tetrahedral_quiver(), field=F101, c={"alpha": -1, "beta": 205}))
+    assert t.c["alpha"] == 100 and t.c_inv["alpha"] == 100
+    assert t.c["beta"] == 3 and t.c_inv["beta"] == 34
+    # two spellings of one residue on one g-orbit do not conflict
+    p = sa.Presentation(fx.triangle_quiver(), field=F101,
+                        c={"alpha": 1, "eta": 102})
+    assert p.param_of("eta") == 1
+    p2 = sa.Presentation(fx.triangle_quiver(), kind="deformed",
+                         field=PrimeField(2), b={1: 3, 2: -1, 3: 2})
+    assert p2.b == {1: 1, 2: 1, 3: 0}
+    with pytest.raises(ValueError, match="F2 scalar must be an integer"):
+        sa.Presentation(fx.triangle_quiver(), kind="deformed",
+                        field=PrimeField(2), b={1: 1.0})
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True, False, "1/2", None])
+def test_q_parameter_must_be_an_int_or_fraction(value):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        sa.Presentation(fx.triangle_quiver(), field=sa.QQ, c={"alpha": value})
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        sa.Presentation(fx.triangle_quiver(), kind="deformed", field=sa.QQ,
+                        b={1: value})
+
+
+def test_q_scalars_are_ints_when_integral():
+    t = sa.build_algebra(sa.Presentation(
+        fx.tetrahedral_quiver(), field=sa.QQ,
+        c={"alpha": Fraction(4, 2), "beta": Fraction(-1, 2)}))
+    assert type(t.c["alpha"]) is int and t.c["alpha"] == 2
+    assert t.c_inv["alpha"] == Fraction(1, 2)
+    assert type(t.c_inv["beta"]) is int and t.c_inv["beta"] == -2
+    assert all(type(v) in (int, Fraction)
+               for prods in t.right.values() for _, v in prods)
+
+
 def test_orbit_keys_normalize():
     q = fx.triangle_quiver()
     p1 = sa.Presentation(q, kind="weighted", field=sa.QQ, m={"eta": 2})

@@ -6,9 +6,12 @@ Two versions of the package that print the same bytes agree on: the simple
 report at every vertex, the form check and the bimodule check (dim <= 100)
 of every fixture quiver x {weighted, deformed where a border exists} x
 {Q, F101} x weight raise 0/1 and of the deformed triangle over F2; the
-uniserial check of the tetrahedral algebras (a = 1, 2); and exit code and
-stdout of every CLI command on each fixture quiver and surface document.
-The seed draws parameters and border values and is the CLI ``--seed``.
+same three reports of every such case at least weights with parameters and
+border values that only ``field.coerce`` normalizes (integral ``Fraction``s
+over Q, negative and unreduced ints over F101); the uniserial check of the
+tetrahedral algebras (a = 1, 2); and exit code and stdout of every CLI
+command on each fixture quiver and surface document.  The seed draws
+parameters and border values and is the CLI ``--seed``.
 """
 
 import contextlib
@@ -17,6 +20,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -25,7 +29,7 @@ import surfalg as sa  # noqa: E402
 from surfalg import cli  # noqa: E402
 
 import fixtures as fx  # noqa: E402
-from test_closed_form import FIELDS  # noqa: E402
+from test_closed_form import FIELDS, least_weights  # noqa: E402
 from test_syzygy import CASES, presentation  # noqa: E402
 
 
@@ -49,6 +53,29 @@ def bimodule(table):
         return {"error": str(exc)}
 
 
+def coerced_presentation(name, kind, field, rng):
+    """A fixture presentation whose scalars are not yet in normal form:
+    integral Fractions over Q, negative or unreduced ints (none divisible
+    by p) over a prime field."""
+    q = fx.ALL_QUIVERS[name]()
+    sign = (1, -1)
+    if field.char == 0:
+        def draw(zero_ok=False):
+            return Fraction(rng.randint(0 if zero_ok else 1, 5)
+                            * rng.choice(sign))
+    else:
+        def draw(zero_ok=False):
+            if zero_ok and rng.randrange(3) == 0:
+                return 0
+            return (rng.choice(sign) * rng.randrange(1, field.char)
+                    + field.char * rng.randint(-3, 3))
+    m = least_weights(name, q)
+    c = {rep: draw() for rep in m}
+    b = ({v: draw(zero_ok=True) for v in sa.border(q)[0]}
+         if kind == "deformed" else None)
+    return sa.Presentation(q, kind=kind, field=field, m=m, c=c, b=b)
+
+
 def main(seed):
     rng = random.Random(seed)
     tables = {f"{name}/{kind}/{field}/+{up}": sa.build_algebra(presentation(
@@ -56,6 +83,11 @@ def main(seed):
               for name, kind in CASES for field in sorted(FIELDS)
               for up in (0, 1)}
     tables["triangle/deformed/F2"] = fx.deformed_triangle_f2()
+    coerce_rng = random.Random(f"{seed}/coerce")
+    for name, kind in CASES:
+        for field in sorted(FIELDS):
+            tables[f"{name}/{kind}/{field}/coerced"] = sa.build_algebra(
+                coerced_presentation(name, kind, FIELDS[field], coerce_rng))
     dump = {key: {"simple": [cli._simple_report(t, v, seed)
                              for v in t.quiver.vertices],
                   "form": sa.verify_symmetrizing_form(t),
