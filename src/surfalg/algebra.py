@@ -68,10 +68,11 @@ class Presentation:
     the coercion, so an F_p parameter divisible by p is refused.
 
     Raises:
-        ValueError: for unknown kinds, non-positive weights, a parameter
-            or border value that ``field.coerce`` refuses, zero
-            parameters, an orbit with m n < 3, a border function on a
-            non-border vertex, or ``deformed`` on a quiver without border.
+        ValueError: for unknown kinds, a weight that is not a positive
+            ``int`` (a ``bool`` among them), a parameter or border value
+            that ``field.coerce`` refuses, zero parameters, an orbit with
+            m n < 3, a border function on a non-border vertex, or
+            ``deformed`` on a quiver without border.
     """
 
     def __init__(self, quiver, kind="weighted", field=None, m=None, c=None, b=None):
@@ -85,7 +86,7 @@ class Presentation:
         self.c = self._orbit_map(c or {}, "parameter")
         for rep in self.m:
             w = self.m[rep]
-            if not isinstance(w, int) or w < 1:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                 raise ValueError(f"weight of orbit {rep!r} must be a positive integer")
             if self.c[rep] == self.field.zero:
                 raise ValueError(f"parameter of orbit {rep!r} must be nonzero")

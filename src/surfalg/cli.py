@@ -9,6 +9,7 @@ input or usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import modules as mods
 from . import quiver as qv
 from . import reptype as rep
 from . import surface as surf
-from .fields import FieldSizeError, field_from_json
+from .fields import field_from_json
 
 TOP_KEYS = {"quiver", "surface", "weights", "params", "border", "field", "kind"}
 
@@ -28,9 +29,14 @@ class InputError(Exception):
     """Schema or usage problem; maps to exit code 2."""
 
 
-def _require_keys(obj, allowed, required, where):
+def _require_object(obj, where):
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be a JSON object")
+    return obj
+
+
+def _require_keys(obj, allowed, required, where):
+    _require_object(obj, where)
     for k in obj:
         if k not in allowed:
             raise InputError(f"unknown key {k!r} in {where}")
@@ -39,12 +45,46 @@ def _require_keys(obj, allowed, required, where):
             raise InputError(f"missing key {k!r} in {where}")
 
 
+def _require_id(value, where):
+    """A vertex, arrow or edge id: a JSON integer or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"{where} must be an integer or a string, "
+                         f"got {value!r}")
+    return value
+
+
+def _require_list(value, where):
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a JSON array")
+    return value
+
+
+def _id_list(value, where):
+    return [_require_id(v, f"an id in {where}")
+            for v in _require_list(value, where)]
+
+
 def parse_document(obj):
     """Validate the input schema and assemble a document dict.
 
-    Structural problems raise InputError; quiver axiom violations are left
-    to the commands (the ``validate`` command reports them, the others
-    refuse to run).
+    Every JSON type the schema fixes is checked here, so a malformed
+    document raises InputError (exit 2) before any command runs:
+
+    - the document, ``quiver``, ``surface``, each arrow and triangle
+      entry, ``f``, ``weights``, ``params`` and ``border`` are objects;
+    - ``vertices``, ``arrows``, the surface's ``edges``, ``triangles``
+      and ``boundary`` and each triangle's ``edges`` are arrays;
+    - every vertex, arrow and edge id (the values of ``f`` and an arrow's
+      ``from`` and ``to`` among them) is an integer or a string, never a
+      boolean;
+    - ``selfFolded`` is a boolean;
+    - ``field`` is a description ``field_from_json`` accepts, and
+      ``kind`` one of the algebra kinds.
+
+    The values of ``weights``, ``params`` and ``border`` are checked once
+    the quiver is known (:func:`get_presentation`).  Quiver axiom
+    violations are left to the commands (the ``validate`` command reports
+    them, the others refuse to run).
     """
     _require_keys(obj, TOP_KEYS, (), "the top-level document")
     if ("quiver" in obj) == ("surface" in obj):
@@ -52,7 +92,7 @@ def parse_document(obj):
             "the document needs exactly one of 'quiver' or 'surface'")
     try:
         field = field_from_json(obj.get("field", "Q"))
-    except FieldSizeError as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from None
     doc = {
         "field": field,
@@ -65,43 +105,50 @@ def parse_document(obj):
         qo = obj["quiver"]
         _require_keys(qo, {"vertices", "arrows", "f"},
                       ("vertices", "arrows", "f"), "'quiver'")
+        vertices = _id_list(qo["vertices"], "'quiver.vertices'")
         arrows = []
-        for a in qo["arrows"]:
+        for a in _require_list(qo["arrows"], "'quiver.arrows'"):
             _require_keys(a, {"id", "from", "to"}, ("id", "from", "to"),
                           "an arrow entry")
-            arrows.append((a["id"], a["from"], a["to"]))
+            arrows.append(tuple(_require_id(a[k], f"an arrow's {k!r}")
+                                for k in ("id", "from", "to")))
         ids = {str(a[0]) for a in arrows}
         f = {}
-        for k, v in qo["f"].items():
+        for k, v in _require_object(qo["f"], "'quiver.f'").items():
             if k not in ids:
                 raise InputError(f"f maps unknown arrow id {k!r}")
-            f[_resolve(k, (a[0] for a in arrows), "arrow")] = v
-        doc["raw_quiver"] = (list(qo["vertices"]), arrows, f)
+            f[_resolve(k, (a[0] for a in arrows), "arrow")] = \
+                _require_id(v, "an f value")
+        doc["raw_quiver"] = (vertices, arrows, f)
         doc["surface"] = None
     else:
         so = obj["surface"]
         _require_keys(so, {"edges", "triangles", "boundary"},
                       ("edges", "triangles"), "'surface'")
         triangles = []
-        for t in so["triangles"]:
+        for t in _require_list(so["triangles"], "'surface.triangles'"):
             _require_keys(t, {"edges", "selfFolded"}, ("edges",),
                           "a triangle entry")
-            edges = list(t["edges"])
-            if len(edges) != 3:
-                raise InputError(f"triangle {edges!r} does not have 3 edges")
+            sides = _id_list(t["edges"], "a triangle's 'edges'")
+            if len(sides) != 3:
+                raise InputError(f"triangle {sides!r} does not have 3 edges")
             if "selfFolded" in t:
-                folded = len(set(edges)) < 3
-                if bool(t["selfFolded"]) != folded:
+                if not isinstance(t["selfFolded"], bool):
                     raise InputError(
-                        f"triangle {edges!r} has selfFolded={t['selfFolded']}"
+                        f"selfFolded of triangle {sides!r} must be true or "
+                        f"false")
+                folded = len(set(sides)) < 3
+                if t["selfFolded"] != folded:
+                    raise InputError(
+                        f"triangle {sides!r} has selfFolded={t['selfFolded']}"
                         f" but its edge multiset says {folded}")
-            triangles.append(edges)
-        doc["raw_surface"] = (list(so["edges"]), triangles,
-                              list(so.get("boundary", [])))
+            triangles.append(sides)
+        doc["raw_surface"] = (
+            _id_list(so["edges"], "'surface.edges'"), triangles,
+            _id_list(so.get("boundary", []), "'surface.boundary'"))
         doc["raw_quiver"] = None
-    doc["raw_weights"] = obj.get("weights", {})
-    doc["raw_params"] = obj.get("params", {})
-    doc["raw_border"] = obj.get("border", {})
+    for key in ("weights", "params", "border"):
+        doc[f"raw_{key}"] = _require_object(obj.get(key, {}), f"'{key}'")
     return doc
 
 
@@ -453,7 +500,19 @@ def _default_max_dim():
         raise InputError(f"SAW_MAX_DIM must be an integer, got {env!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing one parser between calls is sound: ``parse_args`` returns a
+    fresh ``Namespace`` each time and the parser keeps no state of a
+    call; argparse looks ``sys.stderr`` up when it prints, so a usage
+    error goes to the stream current at that call; and the one default
+    read from the environment, ``SAW_MAX_DIM``, stays out of the parser
+    and is read by :func:`main` on every call.  Every caller gets the
+    same object, so none may change it.  The parser is not built at
+    import, so importing the package does not pay for it.
+    """
     parser = argparse.ArgumentParser(
         prog="surfalg",
         description="Weighted surface algebras: construction and "

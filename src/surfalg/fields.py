@@ -272,7 +272,13 @@ QQ = RationalField()
 
 
 def field_from_json(value):
-    """Build a field object from its JSON description ``"Q"`` or ``{"Fp": p}``."""
+    """Build a field object from its JSON description ``"Q"`` or ``{"Fp": p}``.
+
+    Raises:
+        ValueError: for any other description, or a ``p`` that
+            ``PrimeField`` refuses (a ``FieldSizeError`` among them), so
+            one ``except ValueError`` covers every bad description.
+    """
     if value == "Q":
         return RationalField()
     if isinstance(value, dict) and set(value) == {"Fp"}:

@@ -57,6 +57,13 @@ def test_presentation_validation():
                         m={"alpha": 2, "eta": 3})
 
 
+@pytest.mark.parametrize("weight", [True, False, 2.0, "2", None])
+def test_weight_must_be_an_int(weight):
+    # a bool is an int to isinstance, but True would build weight 1
+    with pytest.raises(ValueError, match="positive integer"):
+        sa.Presentation(fx.triangle_quiver(), m={"alpha": weight})
+
+
 F101 = PrimeField(101)
 
 

@@ -1,8 +1,15 @@
 """Command-line interface: schema, commands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import sys
 
-from surfalg.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surfalg.algebra import KINDS
+from surfalg.cli import build_parser, main
 
 import fixtures as fx
 
@@ -22,6 +29,18 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     return code, json.loads(out), err
+
+
+def call_stdin(argv, text):
+    """Run ``main`` on a document given on stdin; (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def triangle_doc(**extra):
@@ -70,6 +89,63 @@ def test_quiver_and_surface_together_exit_2(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     code, _, err = run(capsys, ["validate", path])
     assert code == 2
+
+
+def with_quiver(**entries):
+    doc = triangle_doc()
+    doc["quiver"].update(entries)
+    return doc
+
+
+def with_surface(**entries):
+    doc = fx.surface_doc(fx.disc_surface())
+    doc["surface"].update(entries)
+    return doc
+
+
+# name: (command, document, a phrase the error line must hold)
+SCHEMA_ERRORS = {
+    "weights-list": ("dims", triangle_doc(weights=[1]), "'weights'"),
+    "params-string": ("dims", triangle_doc(params="x"), "'params'"),
+    "border-list": ("dims", triangle_doc(border=[1]), "'border'"),
+    "vertices-int": ("validate", with_quiver(vertices=5),
+                     "'quiver.vertices' must be a JSON array"),
+    "vertices-nested-list": ("validate", with_quiver(vertices=[[1]]),
+                             "got [1]"),
+    "vertices-bool": ("validate", with_quiver(vertices=[True, 2, 3]),
+                      "got True"),
+    "arrows-object": ("validate", with_quiver(arrows={}),
+                      "'quiver.arrows'"),
+    "arrow-id-null": ("validate", with_quiver(arrows=[
+        {"id": None, "from": 1, "to": 2}]), "an arrow's 'id'"),
+    "f-list": ("validate", with_quiver(f=[]), "'quiver.f'"),
+    "f-value-list": ("validate", with_quiver(f={"alpha": ["beta"]}),
+                     "an f value"),
+    "field-Fp4": ("validate", triangle_doc(field={"Fp": 4}), "got 4"),
+    "field-bogus": ("validate", triangle_doc(field="bogus"),
+                    "unknown field description 'bogus'"),
+    "field-Fp-string": ("validate", triangle_doc(field={"Fp": "7"}),
+                        "got '7'"),
+    "surface-edges-int": ("validate", with_surface(edges=5),
+                          "'surface.edges'"),
+    "surface-triangles-object": ("validate", with_surface(triangles={}),
+                                 "'surface.triangles'"),
+    "surface-boundary-string": ("validate", with_surface(boundary="123"),
+                                "'surface.boundary'"),
+    "triangle-edges-string": ("validate", with_surface(
+        triangles=[{"edges": "123"}]), "a triangle's 'edges'"),
+    "selfFolded-int": ("validate", with_surface(
+        triangles=[{"edges": [1, 2, 3], "selfFolded": 0}]), "selfFolded"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_ERRORS))
+def test_schema_type_error_exits_2(name):
+    command, doc, phrase = SCHEMA_ERRORS[name]
+    code, out, err = call_stdin([command, "-"], json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert phrase in err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -209,6 +285,13 @@ def test_max_dim_gate(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAW_MAX_DIM", "2000")
     code, _, _ = run(capsys, ["verify-bimodule-periodicity", path])
     assert code == 0
+    # the parser is shared between calls; the variable is read on each
+    monkeypatch.setenv("SAW_MAX_DIM", "100")
+    code, _, err = run(capsys, ["verify-bimodule-periodicity", path])
+    assert code == 2 and "SAW_MAX_DIM" in err
+    monkeypatch.setenv("SAW_MAX_DIM", "many")
+    code, _, err = run(capsys, ["verify-bimodule-periodicity", path])
+    assert code == 2 and err.startswith("error: SAW_MAX_DIM")
 
 
 def test_default_max_dim_admits_triangle_m4(tmp_path, capsys, monkeypatch):
@@ -307,3 +390,67 @@ def test_stdin_input(capsys, monkeypatch):
     code, rep, _ = run(capsys, ["orbits", "-"])
     assert code == 0
     assert json.loads(rep)["ok"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_goes_to_the_current_stderr(tmp_path, capsys):
+    path = write_doc(tmp_path, triangle_doc())
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            main(["resolve-simple", path])
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: surfalg resolve-simple")
+        assert "--vertex" in err.getvalue()
+        code, rep, err = run_json(capsys,
+                                  ["resolve-simple", path, "--vertex", "2"])
+        assert code == 0 and rep["ok"] and err == ""
+
+
+# Fuzzer over the document schema: one key of a well-formed document takes
+# an arbitrary JSON value.  Integers stay small, so a fuzzed weight builds
+# an algebra of dimension at most 12 * 36.
+TRIANGLE_IDS = ["alpha", "beta", "gamma", "epsilon", "eta", "mu",
+                "1", "2", "3"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3) | st.sampled_from(KINDS + ("Q", "1/2", "-3")),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(TRIANGLE_IDS + ["Fp"]) | st.text(max_size=2),
+        inner, max_size=4),
+    max_leaves=8)
+QUIVER_KEYS = {"quiver": (), "weights": (), "params": (), "border": (),
+               "field": (), "kind": (), "vertices": ("quiver",),
+               "arrows": ("quiver",), "f": ("quiver",),
+               "id": ("quiver", "arrows", 0), "from": ("quiver", "arrows", 0),
+               "to": ("quiver", "arrows", 0)}
+SURFACE_KEYS = {"surface": (), "edges": ("surface",),
+                "triangles": ("surface",), "boundary": ("surface",),
+                "selfFolded": ("surface", "triangles", 0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(QUIVER_KEYS) + sorted(SURFACE_KEYS)),
+       value=JSON_VALUES)
+def test_fuzzed_document_exits_0_1_or_2(key, value):
+    if key in QUIVER_KEYS:
+        doc, where = triangle_doc(), QUIVER_KEYS[key]
+    else:
+        doc, where = fx.surface_doc(fx.disc_surface()), SURFACE_KEYS[key]
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = value
+    text = json.dumps(doc)
+    for command in ("validate", "dims", "form"):
+        code, out, err = call_stdin([command, "-"], text)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error:")
+        else:
+            assert err == "" and json.loads(out)["ok"] == (code == 0)
