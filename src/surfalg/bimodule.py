@@ -17,9 +17,10 @@ to be checked on generators.  A generator image sum over terms
 t = (s2, u_t, v_t) sends the basis tensor kx (x) ky to the sum of
 kx.u_t (x) v_t.ky, so a rank matrix row is built from the one-sided
 products alone, and a term whose product kx.u_t or v_t.ky is zero adds
-nothing to it.  Each nonzero product is read off ``basis_product`` once
-per generator term and basis element, and a row is filled from the pairs
-of nonzero products only (:meth:`BimoduleMap._keyed_rows`).  A codomain
+nothing to it.  Each nonzero product is read off the table once per
+generator term and basis element (:func:`side_products`), and a row is
+filled from the pairs of nonzero products only
+(:meth:`BimoduleMap._keyed_rows`).  A codomain
 says how a pair (left part, right part) becomes flat columns: in P_i the
 one column left part + right part, in A (the codomain of d0) the terms
 of the basis product.  The unit rows e_i (x) ky give the rank of d0
@@ -68,13 +69,18 @@ class Codomain:
         """
         return row
 
+    def add_pair(self, row, s, x, y):
+        """row += the flat image of x (x) y in summand s, x and y given as
+        (basis index, scalar) pairs."""
+        lp, rp = self.left_parts(s), self.right_parts(s)
+        self.add_tensor(row, [(lp[k], c) for k, c in x],
+                        [(rp[k], c) for k, c in y])
+
     def flatten(self, terms):
         """Flat coordinates of a list of (summand, left, right) tensors."""
         out = {}
         for s, x, y in terms:
-            lp, rp = self.left_parts(s), self.right_parts(s)
-            self.add_tensor(out, [(lp[k], c) for k, c in x.items()],
-                            [(rp[k], c) for k, c in y.items()])
+            self.add_pair(out, s, x.items(), y.items())
         return out
 
 
@@ -166,16 +172,30 @@ def side_products(table, basis, x, parts, left):
     Returns (position of k in ``basis``, [(parts[m], scalar)]) for every k
     with k.x (``left``) or x.k nonzero, the list holding the terms of that
     product.  Each product is the sum of ``basis_product`` over the terms
-    of x, which almost always has one term.
+    of x, which almost always has one term.  Two kinds of one-term x =
+    c.b_j skip even that lookup, with the same result: b_j = e_v, since
+    k.e_v is k when k ends at v and e_v.k is k when k starts at v (both
+    are 0 otherwise), as ``basis_product`` reads them; and on the left
+    b_j an arrow a, since ``basis_product(k, a)`` is the right table's
+    entry at (k, a), whose terms are in basis order already.
     """
     bp, field = table.basis_product, table.field
     out = []
     if len(x) == 1:
         # a basis product has distinct terms, none zero: no sum to form
         (j, c), = x.items()
+        bj = table.basis[j]
+        if bj[0] == "e":
+            ends = table.tgt_of if left else table.src_of
+            return [(p, [(parts[k], c)]) for p, k in enumerate(basis)
+                    if ends[k] == bj[1]]
+        if left and bj[0] == "w" and bj[2] == 1:
+            right, a = table.right, bj[1]
+            prods = (right.get((k, a)) for k in basis)
+        else:
+            prods = (bp(k, j) if left else bp(j, k) for k in basis)
         mul = field.mul
-        for p, k in enumerate(basis):
-            prod = bp(k, j) if left else bp(j, k)
+        for p, prod in enumerate(prods):
             if prod:
                 out.append((p, [(parts[m], mul(c, e)) for m, e in prod]))
         return out
@@ -188,6 +208,23 @@ def side_products(table, basis, x, parts, left):
         if acc:
             out.append((p, [(parts[m], a) for m, a in acc.items()]))
     return out
+
+
+def product_terms(table, x, y):
+    """The terms of x.y as (basis index, scalar) pairs, in the order of
+    ``table.multiply(x, y)``.
+
+    Two one-term factors a.b_i and c.b_j give (a c).b_i.b_j, the terms
+    of ``basis_product(i, j)`` times a c, which are distinct and nonzero:
+    ``multiply`` has no sum to form there.
+    """
+    if len(x) == 1 and len(y) == 1:
+        (i, a), = x.items()
+        (j, b), = y.items()
+        mul = table.field.mul
+        s = mul(a, b)
+        return [(m, mul(s, e)) for m, e in table.basis_product(i, j)]
+    return table.multiply(x, y).items()
 
 
 def block_rank(keyed_rows, field):
@@ -224,11 +261,21 @@ class BimoduleMap:
         self.table = domain.table
 
     def apply_flat(self, terms):
-        """Flat image of a list of pure tensors (s, x, y) of the domain."""
-        mul = self.table.multiply
-        return self.codomain.flatten([
-            (s2, mul(x, u), mul(v, y))
-            for s, x, y in terms for s2, u, v in self.gen_images[s]])
+        """Flat image of a list of pure tensors (s, x, y) of the domain.
+
+        It is ``codomain.flatten`` of the tensors x.u (x) v.y over the
+        terms (s2, u, v) of each generator image, each pair added as it is
+        formed (:func:`product_terms`); a pair with x.u = 0 adds nothing,
+        so v.y is not formed for it.
+        """
+        table, add = self.table, self.codomain.add_pair
+        out = {}
+        for s, x, y in terms:
+            for s2, u, v in self.gen_images[s]:
+                xu = product_terms(table, x, u)
+                if xu:
+                    add(out, s2, xu, product_terms(table, v, y))
+        return out
 
     def unit_rank(self, top=False):
         """Rank of the unit rows, the images of e_i (x) ky, for e_i the

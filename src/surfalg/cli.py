@@ -112,13 +112,12 @@ def parse_document(obj):
                           "an arrow entry")
             arrows.append(tuple(_require_id(a[k], f"an arrow's {k!r}")
                                 for k in ("id", "from", "to")))
-        ids = {str(a[0]) for a in arrows}
+        ids = _ids_by_str(a[0] for a in arrows)
         f = {}
         for k, v in _require_object(qo["f"], "'quiver.f'").items():
             if k not in ids:
                 raise InputError(f"f maps unknown arrow id {k!r}")
-            f[_resolve(k, (a[0] for a in arrows), "arrow")] = \
-                _require_id(v, "an f value")
+            f[_resolve(k, ids, "arrow")] = _require_id(v, "an f value")
         doc["raw_quiver"] = (vertices, arrows, f)
         doc["surface"] = None
     else:
@@ -152,9 +151,18 @@ def parse_document(obj):
     return doc
 
 
-def _resolve(key, candidates, what):
-    """Match a JSON object key (a string) against ids of any type."""
-    hits = [c for c in candidates if str(c) == str(key)]
+def _ids_by_str(ids):
+    """Map each id's ``str`` to the ids that print as it, in order."""
+    out = {}
+    for c in ids:
+        out.setdefault(str(c), []).append(c)
+    return out
+
+
+def _resolve(key, ids, what):
+    """Match a JSON object key (a string) against ids of any type, given
+    as their :func:`_ids_by_str` map, built once per list of ids."""
+    hits = ids.get(str(key), ())
     if not hits:
         raise InputError(f"unknown {what} id {key!r}")
     if len(hits) > 1:
@@ -191,9 +199,10 @@ def get_presentation(doc, quiver):
     """Weights, parameters, and border resolved onto the quiver's orbits."""
     gd = qv.g_structure(quiver)
     field = doc["field"]
+    arrows = _ids_by_str(quiver.arrows)
     weights = {}
     for k, v in doc["raw_weights"].items():
-        a = _resolve(k, quiver.arrows, "arrow")
+        a = _resolve(k, arrows, "arrow")
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InputError(f"weight for {k!r} must be a positive integer")
         if gd.rep[a] != a:
@@ -203,7 +212,7 @@ def get_presentation(doc, quiver):
         weights[a] = v
     params = {}
     for k, v in doc["raw_params"].items():
-        a = _resolve(k, quiver.arrows, "arrow")
+        a = _resolve(k, arrows, "arrow")
         if gd.rep[a] != a:
             doc["warnings"].append(
                 f"params: key {k!r} normalized to orbit representative "
@@ -213,8 +222,9 @@ def get_presentation(doc, quiver):
         except ValueError as exc:
             raise InputError(str(exc)) from None
     border = {}
+    vertices = _ids_by_str(quiver.vertices)
     for k, v in doc["raw_border"].items():
-        vert = _resolve(k, quiver.vertices, "vertex")
+        vert = _resolve(k, vertices, "vertex")
         try:
             border[vert] = field.parse(v)
         except ValueError as exc:
@@ -371,7 +381,7 @@ def cmd_resolve_simple(doc, args):
     if table.kind not in ("weighted", "deformed"):
         raise InputError(
             "simple resolutions need kind 'weighted' or 'deformed'")
-    v = _resolve(args.vertex, table.quiver.vertices, "vertex")
+    v = _resolve(args.vertex, _ids_by_str(table.quiver.vertices), "vertex")
     report = _simple_report(table, v, args.seed)
     return report, report["ok"]
 
@@ -425,7 +435,7 @@ def cmd_uniserial_check(doc, args):
 
 def cmd_walks(doc, args):
     table = get_table(doc)
-    a = _resolve(args.arrow, table.quiver.arrows, "arrow")
+    a = _resolve(args.arrow, _ids_by_str(table.quiver.arrows), "arrow")
     report = rep.bipartite_walk_report(table, a)
     witness = rep.nonpolynomial_witness(table)
     return {

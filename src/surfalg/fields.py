@@ -12,12 +12,14 @@ denominator 1), so every sum and product is the exact rational value.
 An int and a ``Fraction`` of the same value compare equal and hash
 equal, so zero tests, equality checks, dict keys and sets see values, not
 types.  The one operation that could leave the rationals, ``int / int``
-(a float), appears nowhere: the only division is inside
-``RationalField.inv``, and it divides by a ``Fraction``.  Integral
-structure constants, most of them 1 and -1, so stay ints, whose
-arithmetic is far cheaper than a ``Fraction``'s.  A ``Fraction`` result
-with denominator 1 is not turned back into an int: that per-entry check
-saved nothing measurable on the benchmark ladder.
+(a float), appears nowhere: no scalar is divided at all.
+``RationalField.inv`` returns 1 and -1 as themselves, an int a as
+``Fraction(1, a)`` and a ``Fraction`` n/d as ``Fraction(d, n)`` (an int
+when n is 1 or -1), each built from two ints, which ``Fraction`` keeps
+exact.  Integral structure constants, most of them 1 and -1, so stay
+ints, whose arithmetic is far cheaper than a ``Fraction``'s.  A
+``Fraction`` result with denominator 1 is not turned back into an int:
+that per-entry check saved nothing measurable on the benchmark ladder.
 
 Values enter the fields in three ways: ``of_int`` for small integers,
 ``parse`` for a scalar's JSON form, and ``coerce`` for a library value,
@@ -81,9 +83,16 @@ class RationalField:
         return dst
 
     def inv(self, a):
-        if a == 0:
+        if type(a) is int:
+            if a == 1 or a == -1:
+                return a
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return Fraction(1, a)
+        num = a.numerator
+        if num == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _rational(1 / Fraction(a))
+        return _rational(Fraction(a.denominator, num))
 
     def of_int(self, n):
         return n
@@ -191,12 +200,13 @@ class PrimeField:
     """
 
     def __init__(self, p):
+        # set first, so that the repr of a refused field does not raise
+        self.p = p
         if isinstance(p, int) and p >= PRIME_LIMIT:
             raise FieldSizeError(
                 f"field order must be below 2**64, got {p!r}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"field order must be a prime integer, got {p!r}")
-        self.p = p
         self.char = p
         self.name = f"F{p}"
         self.zero = 0

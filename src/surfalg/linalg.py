@@ -10,6 +10,16 @@ pivots-only loop serves :func:`rank_of_rows`, which counts pivots, and
 takes as generators.  :class:`RowSolver` also tracks how each echelon
 row combines the inputs, for solving and left kernels.  All pick pivots
 deterministically, so every routine here is reproducible run to run.
+
+Most rows met in practice have one entry or none, and both eliminations
+take those without the general steps.  In :class:`RowSolver` an empty
+row is the kernel vector ``{i: 1}``, and a row ``{c: v}`` whose column c
+is not yet a pivot is the echelon row ``{c: 1}`` with transform
+``{i: 1/v}``: reduction leaves it as it is (none of its columns is a
+pivot), c is its least column, and scaling by 1/v gives exactly those.
+The least-key pick returns the only column of a one-entry row with no
+key computed.
+
 Row updates, and element arithmetic on algebra elements (sparse rows
 over basis indices), all go through the field's own kernel
 ``field.axpy``.
@@ -58,13 +68,24 @@ class RowSolver:
         self.pivots = {}  # pivot_col -> index into self.ech
         self._zero_transforms = []
         self.kernel_rows = []
+        one, inv = field.one, field.inv
         for i, row in enumerate(rows):
+            if not row:
+                self._zero_transforms.append({i: one})
+                self.kernel_rows.append(i)
+                continue
+            if len(row) == 1:
+                (c, v), = row.items()
+                if c not in self.pivots:
+                    self.pivots[c] = len(self.ech)
+                    self.ech.append((c, {c: one}, {i: inv(v)}))
+                    continue
             r = dict(row)
-            t = {i: field.one}
+            t = {i: one}
             self._reduce(r, t)
             if r:
-                piv = min(r, key=_ckey)
-                s = field.inv(r[piv])
+                piv = _least_column(r)
+                s = inv(r[piv])
                 r = field.axpy({}, r.items(), s)
                 t = field.axpy({}, t.items(), s)
                 self.pivots[piv] = len(self.ech)
@@ -158,7 +179,7 @@ def _first_column(r):
 
 
 def _least_column(r):
-    return min(r, key=_ckey)
+    return next(iter(r)) if len(r) == 1 else min(r, key=_ckey)
 
 
 def rank_of_rows(rows, field):

@@ -212,6 +212,10 @@ class GData:
             least member; orbits ordered by least member.
         rep: arrow id -> canonical orbit representative (least member).
         n: arrow id -> length of its g-orbit.
+
+    ``g_power`` is one lookup of the arrow's orbit and position in it:
+    each orbit lists its arrows in the order g visits them, so g^k(a) is
+    the orbit entry k places after a's, counted mod the orbit length.
     """
 
     def __init__(self, quiver):
@@ -220,16 +224,17 @@ class GData:
         self.orbits = _orbits(quiver.arrows, self.g)
         self.rep = {}
         self.n = {}
+        self._place = {}  # arrow -> (its orbit, its position there)
         for orbit in self.orbits:
-            for x in orbit:
+            for p, x in enumerate(orbit):
                 self.rep[x] = orbit[0]
                 self.n[x] = len(orbit)
+                self._place[x] = (orbit, p)
 
     def g_power(self, a, k):
         """g^k(a) for k >= 0."""
-        for _ in range(k % self.n[a]):
-            a = self.g[a]
-        return a
+        orbit, p = self._place[a]
+        return orbit[(p + k) % len(orbit)]
 
 
 def g_structure(quiver):

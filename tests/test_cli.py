@@ -454,3 +454,65 @@ def test_fuzzed_document_exits_0_1_or_2(key, value):
             assert out == "" and err.startswith("error:")
         else:
             assert err == "" and json.loads(out)["ok"] == (code == 0)
+
+
+def relabelled_triangle_doc(arrow_1_twice=False, **extra):
+    """The triangle document with vertex 2 renamed "1" and arrow eta, its
+    loop, renamed 1: two vertex ids print alike, and with
+    ``arrow_1_twice`` a further arrow "1" prints like arrow 1."""
+    vmap = {1: 1, 2: "1", 3: 3}
+    amap = {"eta": 1}
+    q = fx.triangle_quiver()
+    arrows = [{"id": amap.get(a, a), "from": vmap[q.src[a]],
+               "to": vmap[q.tgt[a]]} for a in q.arrows]
+    if arrow_1_twice:
+        arrows.append({"id": "1", "from": 1, "to": 1})
+    return {
+        "quiver": {
+            "vertices": [vmap[v] for v in q.vertices],
+            "arrows": arrows,
+            "f": {str(amap.get(a, a)): amap.get(q.f[a], q.f[a])
+                  for a in q.arrows},
+        },
+        **extra,
+    }
+
+
+ID_ERRORS = {
+    "weights-unknown": (["dims"], triangle_doc(weights={"nope": 2}),
+                        "error: unknown arrow id 'nope'\n"),
+    "params-unknown": (["dims"], triangle_doc(params={"beta2": "3"}),
+                       "error: unknown arrow id 'beta2'\n"),
+    "border-unknown": (["dims"], triangle_doc(border={"9": "1"}),
+                       "error: unknown vertex id '9'\n"),
+    "vertex-unknown": (["resolve-simple", "--vertex", "9"], triangle_doc(),
+                       "error: unknown vertex id '9'\n"),
+    "arrow-unknown": (["walks", "--arrow", "nope"], triangle_doc(),
+                      "error: unknown arrow id 'nope'\n"),
+    "border-ambiguous": (["dims"], relabelled_triangle_doc(
+        border={"1": "1"}), "error: ambiguous vertex id '1'\n"),
+    "vertex-ambiguous": (["resolve-simple", "--vertex", "1"],
+                         relabelled_triangle_doc(),
+                         "error: ambiguous vertex id '1'\n"),
+    "f-ambiguous": (["validate"], relabelled_triangle_doc(arrow_1_twice=True),
+                    "error: ambiguous arrow id '1'\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_ERRORS))
+def test_unknown_and_ambiguous_ids_exit_2(name):
+    argv, doc, want = ID_ERRORS[name]
+    code, out, err = call_stdin(argv[:1] + ["-"] + argv[1:], json.dumps(doc))
+    assert (code, out, err) == (2, "", want)
+
+
+def test_relabelled_ids_resolve_by_their_str():
+    # key "1" names arrow 1 alone (no arrow "1"): weight 2 on its orbit
+    # doubles the dimension of the unit-weight algebra, 36
+    doc = json.dumps(relabelled_triangle_doc(weights={"1": 2},
+                                             params={"1": "3"}))
+    code, out, err = call_stdin(["dims", "-"], doc)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["dim"] == 72
+    code, out, _ = call_stdin(["resolve-simple", "-", "--vertex", "3"], doc)
+    assert code == 0 and json.loads(out)["result"]["alpha"] == "mu"

@@ -88,6 +88,15 @@ def test_prime_field_large_orders():
             PrimeField(too_big)
 
 
+@pytest.mark.parametrize("order", (4, 1, "7", 2 ** 64 + 13))
+def test_refused_prime_field_has_a_repr(order):
+    # a traceback through a refused __init__ prints its half-built self
+    field = PrimeField.__new__(PrimeField)
+    with pytest.raises(ValueError):
+        field.__init__(order)
+    assert repr(field) == f"PrimeField({order})"
+
+
 def test_field_from_json():
     assert sa.field_from_json("Q") == sa.QQ
     assert sa.field_from_json({"Fp": 5}) == PrimeField(5)

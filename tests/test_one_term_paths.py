@@ -1,0 +1,269 @@
+"""The one-term fast paths, each against the general path it skips.
+
+``RowSolver`` and ``pivot_columns`` take a row of one entry or none
+without reducing it; ``RationalField.inv`` inverts an int or a
+``Fraction`` without ``1 / Fraction(a)``; ``GData.g_power`` reads g^k(a)
+off the orbit; ``side_products`` reads products by an idempotent or
+(on the left) an arrow off the table; and ``apply_flat`` forms a product
+of one-term factors with one ``basis_product`` lookup.  Each must give
+the general path's output exactly, in the same order.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import surfalg as sa
+from surfalg.bimodule import (
+    BimoduleMap, bimodule_spaces, map_d, map_d0, map_R, map_S,
+    map_theta, side_products)
+from surfalg.linalg import RowSolver, _ckey, pivot_columns
+
+import fixtures as fx
+from test_closed_form import FIELDS, deformed_triangle
+from test_syzygy import CASES, WORD_CASES, presentation
+
+
+# -- elimination -------------------------------------------------------------
+
+def general_echelon(rows, field):
+    """``RowSolver``'s elimination with every row taking the general path:
+    (echelon rows, kernel vectors, kernel_rows)."""
+    ech, pivots, kernel, kernel_rows = [], {}, [], []
+    for i, row in enumerate(rows):
+        r = dict(row)
+        t = {i: field.one}
+        while True:
+            hit = next((c for c in r if c in pivots), None)
+            if hit is None:
+                break
+            _, er, et = ech[pivots[hit]]
+            s = field.neg(r[hit])
+            field.axpy(r, er.items(), s)
+            field.axpy(t, et.items(), s)
+        if r:
+            piv = min(r, key=_ckey)
+            s = field.inv(r[piv])
+            r = field.axpy({}, r.items(), s)
+            t = field.axpy({}, t.items(), s)
+            pivots[piv] = len(ech)
+            ech.append((piv, r, t))
+        else:
+            kernel.append(t)
+            kernel_rows.append(i)
+    return ech, kernel, kernel_rows
+
+
+def general_pivot_columns(rows, field):
+    """The pivots-only loop with the least-key pick on every row."""
+    pivots = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = next((c for c in r if c in pivots), None)
+            if c is None:
+                c = min(r, key=_ckey)
+                pivots[c] = field.axpy({}, r.items(), field.inv(r[c]))
+                break
+            field.axpy(r, pivots[c].items(), field.neg(r[c]))
+    return set(pivots)
+
+
+def one_entry_rich_rows(field, rng, tuple_keys):
+    """Seeded sparse rows, about half of them of one entry or none, over
+    columns whose ``str`` order differs from their numeric order."""
+    def col(k):
+        return ("w", k % 3, k) if tuple_keys else k
+
+    def scalar():
+        if field.char == 0 and rng.random() < 0.3:
+            return Fraction(rng.choice((1, -1)) * rng.randrange(1, 9),
+                            rng.randrange(2, 9))
+        return field.of_int(rng.choice((1, -1)) * rng.randrange(1, 101))
+
+    rows = []
+    for _ in range(rng.randrange(1, 40)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({})
+        elif kind < 0.5:
+            rows.append({col(rng.randrange(25)): scalar()})
+        elif kind < 0.6 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.7 and rows:
+            row = {}
+            for _ in range(rng.randrange(1, 4)):
+                field.axpy(row, rng.choice(rows).items(), scalar())
+            rows.append(row)
+        else:
+            rows.append({col(c): scalar()
+                         for c in rng.sample(range(25), rng.randrange(2, 6))})
+    return rows
+
+
+def listed(rows):
+    """Rows as lists of items, so that the order of entries counts."""
+    return [list(r.items()) for r in rows]
+
+
+@pytest.mark.parametrize("tuple_keys", (False, True), ids=("int", "tuple"))
+@pytest.mark.parametrize("field", [sa.QQ, sa.PrimeField(101)],
+                         ids=["Q", "F101"])
+def test_row_solver_matches_general_path(field, tuple_keys):
+    rng = random.Random(f"one-term/{field}/{tuple_keys}")
+    for _ in range(300):
+        rows = one_entry_rich_rows(field, rng, tuple_keys)
+        before = [dict(r) for r in rows]
+        solver = RowSolver(rows, field)
+        ech, kernel, kernel_rows = general_echelon(rows, field)
+        assert [c for c, _, _ in solver.ech] == [c for c, _, _ in ech]
+        assert listed(r for _, r, _ in solver.ech) == \
+            listed(r for _, r, _ in ech)
+        assert listed(t for _, _, t in solver.ech) == \
+            listed(t for _, _, t in ech)
+        assert listed(solver.kernel()) == listed(kernel)
+        assert solver.kernel_rows == kernel_rows
+        assert pivot_columns(rows, field) == \
+            general_pivot_columns(rows, field) == set(solver.pivots)
+        assert rows == before
+
+
+# -- rational inverses -------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(-10 ** 9, 10 ** 9),
+    st.sampled_from((1, -1)),
+    st.fractions(max_denominator=10 ** 6)).filter(lambda a: a != 0))
+def test_rational_inv_matches_fraction_division(a):
+    got = sa.QQ.inv(a)
+    assert type(got) in (int, Fraction), repr(got)
+    assert got == 1 / Fraction(a)
+    # an integral inverse is an int (a = 1/n or a = ±1)
+    assert (type(got) is int) == (abs(a.numerator) == 1)
+
+
+@pytest.mark.parametrize("zero", (0, Fraction(0)))
+def test_rational_inv_of_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        sa.QQ.inv(zero)
+
+
+# -- g-powers ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(fx.ALL_QUIVERS))
+def test_g_power_matches_the_orbit_walk(name):
+    gd = sa.g_structure(fx.ALL_QUIVERS[name]())
+    for a, n in gd.n.items():
+        walked = a
+        for k in range(3 * n + 1):
+            assert gd.g_power(a, k) == walked, (a, k)
+            walked = gd.g[walked]
+
+
+# -- one-sided products ------------------------------------------------------
+
+def general_side_products(table, basis, x, parts, left):
+    """``side_products`` by the ``basis_product`` loop, for any x."""
+    bp, field = table.basis_product, table.field
+    out = []
+    for p, k in enumerate(basis):
+        acc = {}
+        for j, c in x.items():
+            prod = bp(k, j) if left else bp(j, k)
+            if prod:
+                field.axpy(acc, prod, c)
+        if acc:
+            out.append((p, [(parts[m], a) for m, a in acc.items()]))
+    return out
+
+
+def assert_side_products_match(table):
+    field = table.field
+    basis = list(range(table.dim))
+    parts = {m: 7 * m + 3 for m in basis}
+    scale = field.neg(field.of_int(2)) if field.char != 2 else field.one
+    for j in basis:
+        for x in ({j: field.one}, {j: scale}):
+            for left in (True, False):
+                assert side_products(table, basis, x, parts, left) == \
+                    general_side_products(table, basis, x, parts, left), \
+                    (table.basis[j], left)
+
+
+@pytest.mark.parametrize("raise_by", (0, 1))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", WORD_CASES)
+def test_side_products_match_basis_product_loop(name, kind, field, raise_by):
+    # every fixture quiver and kind, string algebras (no socle) among them
+    rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
+    assert_side_products_match(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng, raise_by)))
+
+
+def test_side_products_match_basis_product_loop_deformed_f2():
+    rng = random.Random("deformed/F2")
+    assert_side_products_match(sa.build_algebra(
+        deformed_triangle(sa.PrimeField(2), rng, True)))
+
+
+# -- composites --------------------------------------------------------------
+
+def maps_of(table):
+    """d0, d, R and S (where the border allows it) of a table, and theta's
+    Casimir map P3 -> P3."""
+    p0, p1, p2, p3 = bimodule_spaces(table)
+    maps = [map_d0(table, p0), map_d(table, p0, p1), map_R(table, p1, p2)]
+    try:
+        maps.append(map_S(table, p2, p3))
+    except ValueError:
+        pass
+    xis = map_theta(table, p3)["xis"]
+    maps.append(BimoduleMap(p3, p3, [xis[v] for v in table.quiver.vertices]))
+    return maps
+
+
+def general_apply_flat(bmap, terms):
+    """``apply_flat`` as ``flatten`` of ``multiply``, the general path."""
+    mul = bmap.table.multiply
+    return bmap.codomain.flatten([
+        (s2, mul(x, u), mul(v, y))
+        for s, x, y in terms for s2, u, v in bmap.gen_images[s]])
+
+
+def random_terms(bmap, rng):
+    """Pure tensors of the domain with one, two or three terms a factor."""
+    t, field = bmap.table, bmap.table.field
+    terms = []
+    for s in range(len(bmap.gen_images)):
+        for _ in range(2):
+            x, y = ({k: field.of_int(rng.randrange(1, 5))
+                     for k in rng.sample(range(t.dim), rng.randrange(1, 4))}
+                    for _ in range(2))
+            terms.append((s, x, y))
+    return terms
+
+
+def assert_apply_flat_matches(table, rng):
+    maps = maps_of(table)
+    for bmap, nxt in zip(maps, maps[1:]):
+        inputs = list(nxt.gen_images) + [random_terms(bmap, rng)]
+        for terms in inputs:
+            assert list(bmap.apply_flat(terms).items()) == \
+                list(general_apply_flat(bmap, terms).items())
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_apply_flat_matches_flatten_of_multiply(name, kind, field):
+    rng = random.Random(f"apply_flat/{name}/{kind}/{field}")
+    assert_apply_flat_matches(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng)), rng)
+
+
+def test_apply_flat_matches_flatten_of_multiply_deformed_f2():
+    rng = random.Random("apply_flat/deformed/F2")
+    assert_apply_flat_matches(sa.build_algebra(
+        deformed_triangle(sa.PrimeField(2), rng, True)), rng)
