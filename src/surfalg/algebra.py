@@ -168,6 +168,7 @@ class AlgebraTable:
         self.by_pair = {}
         for i in range(self.dim):
             self.by_pair.setdefault((self.src_of[i], self.tgt_of[i]), []).append(i)
+        self._basis_of = {}
         self.right = {}
         self._build_right_table()
         self._bp = {}
@@ -342,15 +343,15 @@ class AlgebraTable:
         return {self.index[("s", v)]: self.field.one}
 
     def basis_of(self, source=None, target=None):
-        """Indices of basis elements with the given source and/or target."""
-        out = []
-        for i in range(self.dim):
-            if source is not None and self.src_of[i] != source:
-                continue
-            if target is not None and self.tgt_of[i] != target:
-                continue
-            out.append(i)
-        return out
+        """A new list of the basis elements with this source and/or target."""
+        key = (source, target)
+        found = self._basis_of.get(key)
+        if found is None:
+            found = self._basis_of[key] = [
+                i for i in range(self.dim)
+                if (source is None or self.src_of[i] == source)
+                and (target is None or self.tgt_of[i] == target)]
+        return list(found)
 
 
 def build_algebra(pres):

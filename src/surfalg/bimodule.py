@@ -52,8 +52,8 @@ class Codomain:
     factor to its right part ``right_parts(s)[k]``.  ``add_tensor(row, lc,
     rc)`` adds to a flat row the sum of a.b (lp (x) rp) over (lp, a) in lc
     and (rp, b) in rc; ``dim`` is the number of flat columns.  Codomains
-    differ only in how one pair of parts becomes columns, so the rank
-    rows of every map come from one loop, :meth:`BimoduleMap._keyed_rows`.
+    differ only in how one pair of parts becomes columns (``columns``), so
+    the rank rows of every map come from one loop, and so do composites.
 
     A right part may carry a multiple n.dim: the tensor then lands at its
     columns plus n.dim, that is in row n of rows stacked one after
@@ -69,18 +69,21 @@ class Codomain:
         """
         return row
 
-    def add_pair(self, row, s, x, y):
-        """row += the flat image of x (x) y in summand s, x and y given as
-        (basis index, scalar) pairs."""
-        lp, rp = self.left_parts(s), self.right_parts(s)
-        self.add_tensor(row, [(lp[k], c) for k, c in x],
-                        [(rp[k], c) for k, c in y])
+    product = None
+
+    def columns(self, s):
+        """(lp, rp, product) of summand s: basis elements m1 and m2 of a
+        left and a right factor make the column lp[m1] + rp[m2], or with
+        a product the terms of ``product(lp[m1], rp[m2])``."""
+        return self.left_parts(s), self.right_parts(s), self.product
 
     def flatten(self, terms):
         """Flat coordinates of a list of (summand, left, right) tensors."""
         out = {}
         for s, x, y in terms:
-            self.add_pair(out, s, x.items(), y.items())
+            lp, rp = self.left_parts(s), self.right_parts(s)
+            self.add_tensor(out, [(lp[k], c) for k, c in x.items()],
+                            [(rp[k], c) for k, c in y.items()])
         return out
 
 
@@ -140,6 +143,7 @@ class AlgebraTarget(Codomain):
 
     def __init__(self, table):
         self.table = table
+        self.product = table.basis_product
         self.dim = table.dim
         # dim A/J: one idempotent per vertex
         self.top_dim = len(table.quiver.vertices)
@@ -210,23 +214,6 @@ def side_products(table, basis, x, parts, left):
     return out
 
 
-def product_terms(table, x, y):
-    """The terms of x.y as (basis index, scalar) pairs, in the order of
-    ``table.multiply(x, y)``.
-
-    Two one-term factors a.b_i and c.b_j give (a c).b_i.b_j, the terms
-    of ``basis_product(i, j)`` times a c, which are distinct and nonzero:
-    ``multiply`` has no sum to form there.
-    """
-    if len(x) == 1 and len(y) == 1:
-        (i, a), = x.items()
-        (j, b), = y.items()
-        mul = table.field.mul
-        s = mul(a, b)
-        return [(m, mul(s, e)) for m, e in table.basis_product(i, j)]
-    return table.multiply(x, y).items()
-
-
 def block_rank(keyed_rows, field):
     """Rank of a matrix given as (block key, row) pairs, summed over blocks.
 
@@ -263,18 +250,56 @@ class BimoduleMap:
     def apply_flat(self, terms):
         """Flat image of a list of pure tensors (s, x, y) of the domain.
 
-        It is ``codomain.flatten`` of the tensors x.u (x) v.y over the
-        terms (s2, u, v) of each generator image, each pair added as it is
-        formed (:func:`product_terms`); a pair with x.u = 0 adds nothing,
-        so v.y is not formed for it.
+        It is ``codomain.flatten`` of x.u (x) v.y over the terms (s2, u, v)
+        of each generator image, in one pass.  One-term factors a.b_i and
+        c.b_j multiply to (a c) times ``basis_product(i, j)``, whose terms
+        are distinct and nonzero as ``multiply`` gives them; other products
+        come from ``multiply``.  Each pair of terms of x.u and v.y adds its
+        product of scalars at its columns (:meth:`Codomain.columns`) at
+        once, in ``flatten``'s order, so every entry is set, summed and
+        popped alike and the dict is the same, order included.  v.y is
+        not formed when x.u = 0.
         """
-        table, add = self.table, self.codomain.add_pair
+        table, cod = self.table, self.codomain
+        bp, multiply = table.basis_product, table.multiply
+        axpy, p = table.field.axpy, table.field.char
         out = {}
+        get = out.get
         for s, x, y in terms:
+            (i, a), = x.items() if len(x) == 1 else ((None, None),)
+            (k, b), = y.items() if len(y) == 1 else ((None, None),)
             for s2, u, v in self.gen_images[s]:
-                xu = product_terms(table, x, u)
-                if xu:
-                    add(out, s2, xu, product_terms(table, v, y))
+                if i is not None and len(u) == 1:
+                    (j, c), = u.items()
+                    left, sc = bp(i, j), a * c
+                else:
+                    left, sc = multiply(x, u).items(), 1
+                if not left:
+                    continue
+                if k is not None and len(v) == 1:
+                    (j, c), = v.items()
+                    right, sc = bp(j, k), sc * c * b
+                else:
+                    right = multiply(v, y).items()
+                lp, rp, prod = cod.columns(s2)
+                for m1, e1 in left:
+                    e1 *= sc
+                    at = lp[m1]
+                    for m2, e2 in right:
+                        w = e1 * e2
+                        if prod is not None:
+                            axpy(out, prod(at, rp[m2]), w)
+                            continue
+                        col = at + rp[m2]
+                        old = get(col)
+                        if old is not None:
+                            w += old
+                        if p:
+                            w %= p
+                        if w:
+                            out[col] = w
+                        elif old is not None:
+                            del out[col]
         return out
 
     def unit_rank(self, top=False):
@@ -397,25 +422,28 @@ class BimoduleMap:
                 yield (src_of[kx], j), cod.top(row)
 
 
+def _summands(q):
+    """The summands (i, j), for A e_i (x) e_j A, of P0, P1, P2 and P3."""
+    return ([(v, v) for v in q.vertices],
+            [(q.src[a], q.tgt[a]) for a in q.arrows],
+            [(q.src[a], q.tgt[q.f[a]]) for a in q.arrows],
+            [(v, v) for v in q.vertices])
+
+
 def bimodule_spaces(table):
     """The four projective bimodules P0, P1, P2, P3 of the complex."""
-    q = table.quiver
-    p0 = BimoduleSpace(table, [(v, v) for v in q.vertices])
-    p1 = BimoduleSpace(table, [(q.src[a], q.tgt[a]) for a in q.arrows])
-    p2 = BimoduleSpace(table, [(q.src[a], q.tgt[q.f[a]]) for a in q.arrows])
-    p3 = BimoduleSpace(table, [(v, v) for v in q.vertices])
-    return p0, p1, p2, p3
-
-
-def space_dims(table, spaces):
-    """The report's dims: A, then P0..P3."""
-    dims = {"algebra": table.dim}
-    dims.update((f"P{i}", p.dim) for i, p in enumerate(spaces))
-    return dims
+    return tuple(BimoduleSpace(table, s) for s in _summands(table.quiver))
 
 
 def bimodule_dims(table):
-    return space_dims(table, bimodule_spaces(table))
+    """The report's dims, A then P0..P3, without building the spaces: a
+    summand (i, j) has dim(A e_i) . dim(e_j A) basis tensors."""
+    left = {v: len(table.basis_of(target=v)) for v in table.quiver.vertices}
+    right = {v: len(table.basis_of(source=v)) for v in table.quiver.vertices}
+    dims = {"algebra": table.dim}
+    dims.update((f"P{n}", sum(left[i] * right[j] for i, j in s))
+                for n, s in enumerate(_summands(table.quiver)))
+    return dims
 
 
 def rho(table, arrows, coeff, sidx):
@@ -628,7 +656,7 @@ def verify_bimodule_periodicity(table):
     q = table.quiver
     n = len(q.vertices)
     p0, p1, p2, p3 = bimodule_spaces(table)
-    dims = space_dims(table, (p0, p1, p2, p3))
+    dims = bimodule_dims(table)
     maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
             "R": map_R(table, p1, p2), "S": map_S(table, p2, p3)}
     stages = []

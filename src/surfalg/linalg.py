@@ -25,6 +25,8 @@ over basis indices), all go through the field's own kernel
 ``field.axpy``.
 """
 
+from math import gcd, lcm
+
 
 def _ckey(col):
     return (str(col), repr(col))
@@ -146,15 +148,24 @@ class RowSolver:
 
 
 def _pivot_rows(rows, field, pick):
-    """Pivots-only elimination: pivot column -> pivot row, 1 at its pivot.
+    """Pivots-only elimination: pivot column -> pivot row, no row modified.
 
-    Each row is reduced against the pivot rows found so far, and a row
-    that does not vanish adds one pivot, the column ``pick(r)`` of its
-    reduced row r, with the row scaled to 1 there.  A row of one entry
-    scales to ``{c: 1}`` with no arithmetic.  No row is modified, and no
-    transform is kept.
+    A row is reduced against the pivot rows found so far and, unless it
+    vanishes, adds the pivot ``pick(r)`` of its reduced row r (a row of
+    one entry adds ``{c: 1}``).  Over F_p a pivot row is 1 at its pivot
+    and a step is r <- r - r[c].p.  Over Q no ``Fraction`` is formed: r
+    is scaled to integers by the lcm of its denominators, a pivot row
+    keeps a positive integer p[c], and a step is r <- a.r - b.p, a = p[c]
+    and b = r[c] over gcd(a, b), then, if p[c] > 1, r over its content.  By
+    induction each r is a nonzero multiple of the row that rational
+    elimination (pivot rows 1 at the pivot) reaches: a.r - b.p is a.k
+    times r' - r'[c].p' for r = k.r' and p = p[c].p'.  So each entry is
+    zero exactly when it is there, the same keys are set and popped in
+    the same order, and both picks see the same rows: ranks, pivot sets
+    and pivot order are those of rational elimination.
     """
     axpy_, inv, neg, one = field.axpy, field.inv, field.neg, field.one
+    exact = not field.char
     pivots = {}
     for row in rows:
         r = row
@@ -165,13 +176,34 @@ def _pivot_rows(rows, field, pick):
                     break
             else:
                 c = pick(r)
-                pivots[c] = ({c: one} if len(r) == 1
-                             else axpy_({}, r.items(), inv(r[c])))
+                if len(r) == 1:
+                    pivots[c] = {c: one}
+                elif not exact:
+                    pivots[c] = axpy_({}, r.items(), inv(r[c]))
+                else:
+                    r = _integral(row) if r is row else r
+                    pivots[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
                 break
             if r is row:
-                r = dict(row)
-            axpy_(r, pr.items(), neg(r[c]))
+                r = _integral(row) if exact else dict(row)
+            a, b = pr[c], r[c]
+            if a == 1:
+                axpy_(r, pr.items(), neg(b))
+                continue
+            g = gcd(a, b)
+            a //= g
+            r = {k: a * v for k, v in r.items()}
+            axpy_(r, pr.items(), -b // g)
+            g = gcd(*r.values())
+            if g > 1:
+                r = {k: v // g for k, v in r.items()}
     return pivots
+
+
+def _integral(row):
+    """A copy of a Q row times the lcm of its entries' denominators."""
+    d = lcm(*[v.denominator for v in row.values() if type(v) is not int])
+    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}
 
 
 def _first_column(r):

@@ -422,3 +422,17 @@ def test_loop_powers_at_border():
     cube = t.multiply(sq, loop)
     assert cube == t.socle_element(1)
     assert t.multiply(cube, loop) == {}
+
+
+@pytest.mark.parametrize("name,kind", WORD_CASES)
+def test_basis_of_matches_the_scan(name, kind):
+    t = sa.build_algebra(presentation(name, kind, sa.QQ, random.Random(name)))
+    ends = list(t.quiver.vertices) + [None, "no such vertex"]
+    for s, g in itertools.product(ends, ends):
+        scan = [i for i in range(t.dim)
+                if (s is None or t.src_of[i] == s)
+                and (g is None or t.tgt_of[i] == g)]
+        got = t.basis_of(source=s, target=g)
+        assert got == scan
+        got.append(-1)  # a new list: the table's own is untouched
+        assert t.basis_of(s, g) == scan

@@ -26,7 +26,7 @@ from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
 from test_closed_form import FIELDS, deformed_triangle
-from test_syzygy import CASES, presentation
+from test_syzygy import CASES, WORD_CASES, presentation
 
 
 # frozen oracle for the one-triangle disc algebra with unit weights:
@@ -55,6 +55,18 @@ def test_bimodule_dims_formulas():
                              for a in q.arrows)
     assert dims["P2"] == sum(left[q.src[a]] * right[q.tgt[q.f[a]]]
                              for a in q.arrows)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", WORD_CASES)
+def test_bimodule_dims_match_the_built_spaces(name, kind, field):
+    rng = random.Random(f"dims/{name}/{kind}/{field}")
+    for raise_by in (0, 1):
+        t = sa.build_algebra(
+            presentation(name, kind, FIELDS[field], rng, raise_by))
+        spaces = bimodule_spaces(t)
+        assert sa.bimodule_dims(t) == dict(
+            algebra=t.dim, **{f"P{i}": p.dim for i, p in enumerate(spaces)})
 
 
 def test_bimodule_rank_oracle():

@@ -13,12 +13,15 @@ one pass per tree, and the order of the two trees
 alternates from round to round.  An op's figure is its best time over the
 rounds, so a swing in the speed the machine gives the process touches
 both trees alike.  Printed: the sums of the best times of all ops, per op
-kind and per field, for both trees and as the ratio NEW/OLD; for each
-tree the garbage collections of each generation per pass (mean over its
-passes), whose shift moves the benchmark's ``peak_rss_mb``; and the
-number of failed ops.  A collection of generation 1 or 2 also empties
-generation 0 but counts only at its own generation, so the three add up
-to the times the generation-0 threshold was crossed.
+kind and per field, for both trees and as the ratio NEW/OLD; the median
+over rounds of each round's NEW/OLD ratio of the same sums
+(``round_median``), which a slow spell moves less, since the two trees
+run back to back within a round; for each tree the garbage collections of
+each generation per pass (mean over its passes), whose shift moves the
+benchmark's ``peak_rss_mb``; and the number of failed ops.  A collection
+of generation 1 or 2 also empties generation 0 but counts only at its own
+generation, so the three add up to the times the generation-0 threshold
+was crossed.
 """
 
 import argparse
@@ -58,24 +61,26 @@ def load_workloads():
     return module
 
 
-def run_pass(ops, best):
-    """Run every op once; lower ``best[i]`` to op i's time if faster.
+def run_pass(ops):
+    """Run every op once.
 
-    Returns (collections of each generation during the pass, failed ops).
+    Returns (time of each op, collections of each generation during the
+    pass, failed ops).
     """
     clock = time.perf_counter
     before = [g["collections"] for g in gc.get_stats()]
     failed = 0
-    for i, op in enumerate(ops):
+    times = []
+    for op in ops:
         start = clock()
         try:
             err = op.fn()
         except Exception:  # a crash is a failed op, as in the benchmark
             err = True
-        best[i] = min(best[i], clock() - start)
+        times.append(clock() - start)
         failed += bool(err)
     after = [g["collections"] for g in gc.get_stats()]
-    return [b - a for a, b in zip(before, after)], failed
+    return times, [b - a for a, b in zip(before, after)], failed
 
 
 def groups(ops):
@@ -104,26 +109,35 @@ def main(argv=None):
     for root in (args.old, args.new):
         ops = workloads.WORKLOADS[args.workload](load_package(root),
                                                  args.seed)
-        trees.append({"ops": ops, "best": [float("inf")] * len(ops),
-                      "collections": [], "failed": 0})
+        trees.append({"ops": ops, "rounds": [], "collections": [],
+                      "failed": 0})
     if [op.name for op in trees[0]["ops"]] != \
             [op.name for op in trees[1]["ops"]]:
         raise SystemExit("error: the two trees give different op lists")
     for tree in trees:  # warm-up: first-call caches, not counted
-        run_pass(tree["ops"], [float("inf")] * len(tree["ops"]))
+        run_pass(tree["ops"])
     for r in range(args.rounds):
         for tree in (trees if r % 2 == 0 else trees[::-1]):
-            collections, failed = run_pass(tree["ops"], tree["best"])
+            times, collections, failed = run_pass(tree["ops"])
+            tree["rounds"].append(times)
             tree["collections"].append(collections)
             tree["failed"] += failed
+    for tree in trees:
+        tree["best"] = [min(t) for t in zip(*tree["rounds"])]
     ops = trees[0]["ops"]
     print(f"# {args.workload} seed {args.seed}: {len(ops)} ops per pass, "
           f"best of {args.rounds} rounds, alternating order")
-    print(f"{'group':<16} {'old_s':>10} {'new_s':>10} {'new/old':>8}")
+    print(f"{'group':<16} {'old_s':>10} {'new_s':>10} {'new/old':>8} "
+          f"{'round_median':>12}")
     for label, pred in groups(ops):
-        old, new = (sum(t for op, t in zip(ops, tree["best"]) if pred(op))
-                    for tree in trees)
-        print(f"{label:<16} {old:>10.5f} {new:>10.5f} {new / old:>8.3f}")
+        def total(times):
+            return sum(t for op, t in zip(ops, times) if pred(op))
+        old, new = (total(tree["best"]) for tree in trees)
+        per_round = statistics.median(
+            total(n) / total(o)
+            for o, n in zip(trees[0]["rounds"], trees[1]["rounds"]))
+        print(f"{label:<16} {old:>10.5f} {new:>10.5f} {new / old:>8.3f} "
+              f"{per_round:>12.3f}")
     for name, tree in zip(("old", "new"), trees):
         per_gen = (statistics.mean(c) for c in zip(*tree["collections"]))
         print(f"collections per pass, {name}: "
