@@ -50,6 +50,7 @@ from .modules import (
     syzygy,
     uniserial_module,
     uniserial_period_check,
+    uniserial_period_checks,
     verify_simple_resolution,
 )
 from .bimodule import bimodule_dims, verify_bimodule_periodicity
@@ -105,6 +106,7 @@ __all__ = [
     "tetrahedral_scaling",
     "uniserial_module",
     "uniserial_period_check",
+    "uniserial_period_checks",
     "validate",
     "validate_surface",
     "verify_bimodule_periodicity",

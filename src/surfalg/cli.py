@@ -421,14 +421,16 @@ def cmd_verify_bimodule(doc, args):
 
 
 def cmd_uniserial_check(doc, args):
-    table = get_table(doc)
-    ok_tet, _ = qv.is_tetrahedral(table.quiver)
+    quiver = get_quiver(doc)
+    pres = get_presentation(doc, quiver)
+    # Presentation errors come first; a refused document builds no table.
+    ok_tet, _ = qv.is_tetrahedral(quiver)
     if not ok_tet:
         raise InputError("uniserial-check needs a tetrahedral quiver")
-    if table.kind not in ("weighted", "deformed"):
+    if doc["kind"] not in ("weighted", "deformed"):
         raise InputError("uniserial-check needs kind 'weighted' or 'deformed'")
-    reports = [mods.uniserial_period_check(table, a)
-               for a in table.quiver.arrows]
+    table = alg.build_algebra(pres)
+    reports = mods.uniserial_period_checks(table, quiver.arrows)
     ok = all(r["period_exactly_4"] for r in reports)
     return {"per_arrow": reports, "all_period_4": ok}, ok
 

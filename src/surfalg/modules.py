@@ -30,6 +30,7 @@ action is read off the identity block of the kernel basis, with no solve.
 """
 
 import random
+from collections import Counter
 
 from .algebra import defining_relations, el_add, el_scale
 from .linalg import (RowSolver, intersection_dim, pivot_columns,
@@ -609,36 +610,88 @@ def uniserial_module(table, arrow):
     return RightModule(table, dims, mats, check_relations=True)
 
 
-def uniserial_period_check(table, arrow):
-    """Check the period-four syzygy cycle of an arrow's uniserial module.
+def uniserial_period_checks(table, arrows):
+    """Check the period-four syzygy cycle of each listed arrow's uniserial
+    module; returns one report per arrow, in order.
 
-    Computes four successive syzygies of U_arrow, certifies that the
-    second is the uniserial module of the arrow f(g(f(arrow))) (a
-    different arrow), and that the fourth returns to U_arrow.
+    For an arrow a with partner p = f(g(f(a))), the report certifies that
+    Omega^2(U_a) is isomorphic to U_p (a different arrow's module), that
+    Omega^4(U_a) returns to U_a, and that every cover along the way is
+    minimal.  The first two syzygies of U_x are computed once for each
+    arrow x the call meets, as a listed arrow or as a partner.  The call
+    keeps what the reports read of them (U_x, the dimension vector of
+    Omega^1(U_x), Omega^2(U_x) and the two cover certificates) until the
+    last report that reads them.
+
+    Omega^3 and Omega^4 come from the partner's syzygies when
+    ``module_iso`` certifies an isomorphism Omega^2(U_a) -> U_p (ok2).
+    Minimal syzygies are unique up to isomorphism, and an isomorphism
+    M -> N carries a projective cover of N, with its kernel, to one of M.
+    So Omega^3(U_a) is isomorphic to Omega^1(U_p) and Omega^4(U_a) to
+    Omega^2(U_p): the syzygy dimensions are p's, the covers of p's first
+    two steps, certified minimal and surjective by :func:`syzygy`, are
+    carried to covers of Omega^2(U_a) and Omega^3(U_a), and whether
+    Omega^4(U_a) is isomorphic to U_a is asked of Omega^2(U_p) and U_a.
+    ``syzygy`` builds its cover from a basis of the top, so it is minimal
+    on every module and the dimensions it gives are those of the minimal
+    syzygy, whichever representative of the class it is handed.  Without
+    ok2 the third and fourth syzygies of U_a are computed directly.
     """
     q = table.quiver
     f, g = q.f, table.gd.g
-    partner = f[g[f[arrow]]]
-    mods = [uniserial_module(table, arrow)]
-    infos = []
-    for _ in range(4):
-        k, info = syzygy(mods[-1])
-        mods.append(k)
-        infos.append(info)
-    ok2, cert2 = module_iso(mods[2], uniserial_module(table, partner))
-    ok4, cert4 = module_iso(mods[4], mods[0])
-    dims_differ = mods[1].dims != mods[0].dims
-    report = {
-        "arrow": arrow,
-        "partner": partner,
-        "partner_distinct": partner != arrow,
-        "syzygy_dims": [m.total_dim for m in mods],
-        "covers_minimal": all(i["minimal"] and i["surjective"] for i in infos),
-        "omega2_is_partner_module": ok2,
-        "omega4_is_start_module": ok4,
-    }
-    report["period_exactly_4"] = (
-        ok2 and ok4 and partner != arrow and dims_differ
-        and report["covers_minimal"]
-    )
-    return report
+    arrows = list(arrows)
+    partners = [f[g[f[a]]] for a in arrows]
+    readers = Counter(arrows + partners)
+    chains = {}
+
+    def chain(x):
+        if x not in chains:
+            u = uniserial_module(table, x)
+            omega1, info1 = syzygy(u)
+            omega2, info2 = syzygy(omega1)
+            chains[x] = u, omega1.dims, omega2, _certified(info1, info2)
+        return chains[x]
+
+    reports = []
+    for arrow, partner in zip(arrows, partners):
+        u, dims1, omega2, minimal = chain(arrow)
+        pu, pdims1, pomega2, pminimal = chain(partner)
+        ok2, _ = module_iso(omega2, pu)
+        if ok2:
+            dims3, omega4, later_minimal = pdims1, pomega2, pminimal
+        else:
+            omega3, info3 = syzygy(omega2)
+            omega4, info4 = syzygy(omega3)
+            dims3, later_minimal = omega3.dims, _certified(info3, info4)
+        ok4, _ = module_iso(omega4, u)
+        report = {
+            "arrow": arrow,
+            "partner": partner,
+            "partner_distinct": partner != arrow,
+            "syzygy_dims": [u.total_dim, sum(dims1.values()),
+                            omega2.total_dim, sum(dims3.values()),
+                            omega4.total_dim],
+            "covers_minimal": minimal and later_minimal,
+            "omega2_is_partner_module": ok2,
+            "omega4_is_start_module": ok4,
+        }
+        report["period_exactly_4"] = (
+            ok2 and ok4 and partner != arrow and dims1 != u.dims
+            and report["covers_minimal"]
+        )
+        reports.append(report)
+        for x in (arrow, partner):
+            readers[x] -= 1
+            if not readers[x]:
+                del chains[x]
+    return reports
+
+
+def _certified(*infos):
+    """Whether every syzygy certificate says surjective and minimal."""
+    return all(i["minimal"] and i["surjective"] for i in infos)
+
+
+def uniserial_period_check(table, arrow):
+    """The report of :func:`uniserial_period_checks` for one arrow."""
+    return uniserial_period_checks(table, [arrow])[0]

@@ -1,10 +1,12 @@
 """Right modules, syzygies, and periodicity of simple modules."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import surfalg as sa
+from surfalg import modules
 from surfalg.algebra import el_add, el_scale
 from surfalg.linalg import intersection_dim, pivot_columns, rows_mul
 from surfalg.modules import (
@@ -187,6 +189,147 @@ def test_uniserial_period_four_both_parameter_regimes():
             assert rep["partner_distinct"]
             q = t.quiver
             assert rep["partner"] == q.f[q.g(q.f[a])]
+
+
+# -- the batch uniserial check against the four-syzygy loop it replaced --
+
+def four_syzygy_check(table, arrow):
+    """The uniserial report by four syzygies of U_arrow and two isomorphism
+    searches, as computed before the batch read Omega^3 and Omega^4 off
+    the partner's chain.  Looks ``syzygy`` and ``module_iso`` up in
+    :mod:`surfalg.modules` at call time, so a patch there reaches it."""
+    q = table.quiver
+    f, g = q.f, table.gd.g
+    partner = f[g[f[arrow]]]
+    mods = [sa.uniserial_module(table, arrow)]
+    infos = []
+    for _ in range(4):
+        k, info = modules.syzygy(mods[-1])
+        mods.append(k)
+        infos.append(info)
+    ok2, _ = modules.module_iso(mods[2], sa.uniserial_module(table, partner))
+    ok4, _ = modules.module_iso(mods[4], mods[0])
+    report = {
+        "arrow": arrow,
+        "partner": partner,
+        "partner_distinct": partner != arrow,
+        "syzygy_dims": [m.total_dim for m in mods],
+        "covers_minimal": all(i["minimal"] and i["surjective"] for i in infos),
+        "omega2_is_partner_module": ok2,
+        "omega4_is_start_module": ok4,
+    }
+    report["period_exactly_4"] = (
+        ok2 and ok4 and partner != arrow and mods[1].dims != mods[0].dims
+        and report["covers_minimal"])
+    return report
+
+
+def relabelled_tetrahedral(a=1):
+    """The tetrahedral algebra with renamed vertices and arrows, listed in
+    reverse order, so arrows, blocks and basis indices are ordered
+    differently."""
+    q = fx.tetrahedral_quiver()
+    renamed = sa.validate(
+        [v * 10 for v in reversed(q.vertices)],
+        [(x.upper(), q.src[x] * 10, q.tgt[x] * 10)
+         for x in reversed(q.arrows)],
+        {x.upper(): q.f[x].upper() for x in q.arrows})
+    return fx.weighted(renamed, c={"BETA": Fraction(a)})
+
+
+UNISERIAL_TABLES = {
+    "a=1/Q": lambda: fx.tetrahedral_algebra(),
+    "a=2/Q": lambda: fx.tetrahedral_algebra(a=2),
+    "a=1/F101": lambda: fx.tetrahedral_algebra(field=sa.PrimeField(101)),
+    "a=2/F101": lambda: fx.tetrahedral_algebra(a=2,
+                                               field=sa.PrimeField(101)),
+    "relabelled/a=1": relabelled_tetrahedral,
+    "relabelled/a=2": lambda: relabelled_tetrahedral(2),
+    # unequal weights: Omega^1 of an arrow and of its partner differ in
+    # dimension, and Omega^2 is the partner's module for some arrows only
+    "m_gamma=2/Q": lambda: fx.weighted(fx.tetrahedral_quiver(),
+                                       m={"gamma": 2}),
+    "m_beta=3,gamma=2/F101": lambda: fx.weighted(
+        fx.tetrahedral_quiver(), m={"beta": 3, "gamma": 2},
+        field=sa.PrimeField(101)),
+}
+
+
+@pytest.mark.parametrize("build", UNISERIAL_TABLES.values(),
+                         ids=UNISERIAL_TABLES.keys())
+def test_uniserial_batch_matches_four_syzygies(build):
+    t = build()
+    arrows = t.quiver.arrows
+    expect = [four_syzygy_check(t, a) for a in arrows]
+    assert sa.uniserial_period_checks(t, arrows) == expect
+    assert [sa.uniserial_period_check(t, a) for a in arrows] == expect
+
+
+def count_syzygies(monkeypatch):
+    calls = []
+    syz = modules.syzygy
+
+    def counted(module):
+        calls.append(module)
+        return syz(module)
+
+    monkeypatch.setattr(modules, "syzygy", counted)
+    return calls
+
+
+def test_uniserial_batch_runs_two_syzygies_per_arrow(monkeypatch):
+    t = fx.tetrahedral_algebra()
+    calls = count_syzygies(monkeypatch)
+    reports = sa.uniserial_period_checks(t, t.quiver.arrows)
+    assert len(reports) == 12 and len(calls) == 24
+
+
+def test_uniserial_batch_without_ok2_runs_the_syzygies(monkeypatch):
+    # module_iso refuses every isomorphism onto U_p0, so the arrow with
+    # partner p0 takes the direct path for Omega^3 and Omega^4.
+    t = fx.tetrahedral_algebra()
+    q = t.quiver
+    arrow = q.arrows[0]
+    p0 = q.f[t.gd.g[q.f[arrow]]]
+    u = sa.uniserial_module(t, p0)
+    iso = modules.module_iso
+
+    def refusing(m1, m2, **kwargs):
+        if m2.dims == u.dims and m2.mats == u.mats:
+            return False, {"reason": "refused", "definitive": False}
+        return iso(m1, m2, **kwargs)
+
+    monkeypatch.setattr(modules, "module_iso", refusing)
+    expect = [four_syzygy_check(t, a) for a in q.arrows]
+    calls = count_syzygies(monkeypatch)
+    got = sa.uniserial_period_checks(t, q.arrows)
+    assert got == expect
+    assert len(calls) == 26
+    assert not got[0]["omega2_is_partner_module"]
+    assert sum(not r["period_exactly_4"] for r in got) == 2
+
+
+def test_uniserial_batch_reads_the_partner_certificates(monkeypatch):
+    # A cover of the partner's chain that is not certified minimal shows
+    # in the report of every arrow whose Omega^3 and Omega^4 it supplies.
+    t = fx.tetrahedral_algebra()
+    q = t.quiver
+    partner = {a: q.f[t.gd.g[q.f[a]]] for a in q.arrows}
+    p0 = q.arrows[0]
+    omega1 = syzygy(sa.uniserial_module(t, p0))[0]
+    syz = modules.syzygy
+
+    def flagged(module):
+        kernel, info = syz(module)
+        if module.dims == omega1.dims and module.mats == omega1.mats:
+            info = dict(info, minimal=False)
+        return kernel, info
+
+    monkeypatch.setattr(modules, "syzygy", flagged)
+    reports = sa.uniserial_period_checks(t, q.arrows)
+    assert [not r["covers_minimal"] for r in reports] == [
+        a == p0 or partner[a] == p0 for a in q.arrows]
+    assert sum(not r["covers_minimal"] for r in reports) == 2
 
 
 def test_deformed_resolution_columns_differ_from_weighted():

@@ -13,8 +13,13 @@ matrices and the cover certificate of ``syzygy`` must equal those of
 weights only.  On every module it meets it also checks that the
 pivots-only elimination ``pivot_columns`` of each vertex's radical rows
 picks the pivots of a ``RowSolver`` on them, the generators' complement.
-Prints the number of modules, tables and radicals compared; exits 1 at
-the first mismatch.
+On the same tables, ``uniserial_period_checks`` over every arrow whose
+module and whose partner's module (f(g(f(arrow)))) both live on distinct
+vertices must equal the four-syzygy loop ``four_syzygy_check`` of
+``tests/test_modules.py``, arrow by arrow; on most non-tetrahedral tables
+Omega^2 is not the partner's module, so both of the batch's paths run.
+Prints the number of modules, tables, radicals and uniserial reports
+compared; exits 1 at the first mismatch.
 """
 
 import os
@@ -28,6 +33,7 @@ import surfalg as sa  # noqa: E402
 
 from surfalg.linalg import RowSolver, pivot_columns  # noqa: E402
 from test_closed_form import FIELDS  # noqa: E402
+from test_modules import four_syzygy_check  # noqa: E402
 from test_syzygy import (  # noqa: E402
     CASES, chain_syzygy, presentation, start_modules)
 
@@ -38,6 +44,7 @@ STEPS = 4
 def main():
     rng = random.Random(7)
     modules = tables = radicals = 0
+    uniserial = partner_reads = 0
     for name, kind in CASES:
         for field in sorted(FIELDS):
             for up in RAISES:
@@ -68,11 +75,28 @@ def main():
                             return 1
                         modules += 1
                         module = kernel
+                arrows = [a for a in q.arrows
+                          if distinct_ends(q, a)
+                          and distinct_ends(q, q.f[t.gd.g[q.f[a]]])]
+                expect = [four_syzygy_check(t, a) for a in arrows]
+                if sa.uniserial_period_checks(t, arrows) != expect:
+                    print(f"UNISERIAL MISMATCH {name} {kind} over {t.field} "
+                          f"dim {t.dim}")
+                    return 1
+                uniserial += len(expect)
+                partner_reads += sum(r["omega2_is_partner_module"]
+                                     for r in expect)
                 tables += 1
     print(f"syzygy equals the chain oracle on {modules} modules "
           f"of {tables} tables; pivot_columns equals RowSolver pivots on "
-          f"{radicals} radicals")
+          f"{radicals} radicals; uniserial_period_checks equals the "
+          f"four-syzygy loop on {uniserial} reports "
+          f"({partner_reads} with Omega^2 the partner's module)")
     return 0
+
+
+def distinct_ends(q, a):
+    return q.src[a] != q.tgt[a]
 
 
 if __name__ == "__main__":

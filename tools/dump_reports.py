@@ -92,9 +92,9 @@ def main(seed):
                              for v in t.quiver.vertices],
                   "form": sa.verify_symmetrizing_form(t),
                   "bimodule": bimodule(t)} for key, t in tables.items()}
-    dump["uniserial"] = [sa.uniserial_period_check(t, a)
-                         for t in map(fx.tetrahedral_algebra, (1, 2))
-                         for a in t.quiver.arrows]
+    dump["uniserial"] = [rep for t in map(fx.tetrahedral_algebra, (1, 2))
+                         for rep in sa.uniserial_period_checks(
+                             t, t.quiver.arrows)]
     docs = [(fx.surface_doc(s()), sa.quiver_from_surface(s()))
             for _, s in sorted(fx.ALL_SURFACES.items())]
     for name, build in sorted(fx.ALL_QUIVERS.items()):
