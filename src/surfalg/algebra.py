@@ -169,7 +169,6 @@ class AlgebraTable:
         for i in range(self.dim):
             self.by_pair.setdefault((self.src_of[i], self.tgt_of[i]), []).append(i)
         self._basis_of = {}
-        self._relations = None
         self.right = {}
         self._build_right_table()
         self._bp = {}
@@ -372,15 +371,8 @@ def defining_relations(table):
     """The defining relations of the presentation, as coefficiented paths.
 
     Each relation is a dict with a name and a list of (coefficient, arrow
-    sequence) terms; the relation asserts that the sum vanishes.  The list
-    is built once per table; each call returns new dicts and term lists.
+    sequence) terms; the relation asserts that the sum vanishes.
     """
-    if table._relations is None:
-        table._relations = _build_relations(table)
-    return [dict(rel, terms=list(rel["terms"])) for rel in table._relations]
-
-
-def _build_relations(table):
     pres = table.pres
     q = table.quiver
     field = table.field

@@ -421,16 +421,13 @@ def cmd_verify_bimodule(doc, args):
 
 
 def cmd_uniserial_check(doc, args):
-    quiver = get_quiver(doc)
-    pres = get_presentation(doc, quiver)
-    # Presentation errors come first; a refused document builds no table.
-    ok_tet, _ = qv.is_tetrahedral(quiver)
+    table = get_table(doc)
+    ok_tet, _ = qv.is_tetrahedral(table.quiver)
     if not ok_tet:
         raise InputError("uniserial-check needs a tetrahedral quiver")
-    if doc["kind"] not in ("weighted", "deformed"):
+    if table.kind not in ("weighted", "deformed"):
         raise InputError("uniserial-check needs kind 'weighted' or 'deformed'")
-    table = alg.build_algebra(pres)
-    reports = mods.uniserial_period_checks(table, quiver.arrows)
+    reports = mods.uniserial_period_checks(table, table.quiver.arrows)
     ok = all(r["period_exactly_4"] for r in reports)
     return {"per_arrow": reports, "all_period_4": ok}, ok
 

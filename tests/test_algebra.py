@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
-from surfalg.algebra import _build_relations, el_add, form_value
+from surfalg.algebra import el_add, form_value
 from surfalg.fields import PrimeField
 
 import fixtures as fx
@@ -436,19 +436,3 @@ def test_basis_of_matches_the_scan(name, kind):
         assert got == scan
         got.append(-1)  # a new list: the table's own is untouched
         assert t.basis_of(s, g) == scan
-
-
-@pytest.mark.parametrize("field", sorted(FIELDS))
-@pytest.mark.parametrize("name,kind", WORD_CASES)
-def test_defining_relations_memo_matches_a_fresh_build(name, kind, field):
-    t = sa.build_algebra(presentation(name, kind, FIELDS[field],
-                                      random.Random(name)))
-    fresh = _build_relations(t)
-    got = sa.defining_relations(t)
-    assert got == fresh
-    # new lists and dicts: changing them leaves the next result alone
-    got[0]["terms"].append((t.field.one, ()))
-    got[0]["name"] = "changed"
-    got.pop()
-    assert sa.defining_relations(t) == fresh
-    assert sa.defining_relations(t) == _build_relations(t)

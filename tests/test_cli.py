@@ -8,7 +8,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfalg import algebra as alg
 from surfalg.algebra import KINDS
 from surfalg.cli import build_parser, main
 
@@ -320,21 +319,6 @@ def test_uniserial_check(tmp_path, capsys):
     path2 = write_doc(tmp_path, triangle_doc(), "t.json")
     code, _, err = run(capsys, ["uniserial-check", path2])
     assert code == 2
-
-
-@pytest.mark.parametrize("doc,message", [
-    (triangle_doc(), "needs a tetrahedral quiver"),
-    (tetrahedral_doc(kind="biserial"), "needs kind 'weighted' or 'deformed'"),
-], ids=["triangle", "biserial"])
-def test_uniserial_check_refuses_before_building(tmp_path, capsys,
-                                                  monkeypatch, doc, message):
-    built = []
-    monkeypatch.setattr(alg, "build_algebra",
-                        lambda pres: built.append(pres))
-    code, out, err = run(capsys, ["uniserial-check", write_doc(tmp_path, doc)])
-    assert code == 2 and out == ""
-    assert message in err
-    assert built == []
 
 
 def test_walks_and_classify(tmp_path, capsys):
