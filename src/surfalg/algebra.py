@@ -22,9 +22,13 @@ a g-word extends along g by the right table until it tops out, the full
 cycle B_a of length m n is c_a^{-1} times the socle element, and no arrow
 extends the socle.  ``AlgebraTable.word_element`` is this
 rule.  Every product of algebra elements and every g-word path in the
-library is read off it or off ``AlgebraTable.basis_product``, which uses
-it; the table of right products by one arrow defines the algebra and gives
-the modules their arrow actions.
+library is read off it, off ``AlgebraTable.basis_product``, which uses
+it, or off the table of right products by one arrow.  That table defines
+the algebra and gives the modules their arrow actions: a projective
+module's arrow matrices are its rows, so the maps of the simple
+resolutions, left multiplications between projectives, are walked
+through them one arrow at a time (:mod:`surfalg.modules`) and ask for no
+``basis_product``.
 
 Elements are stored in the monomial basis: one idempotent per vertex, the
 g-words of each admissible length, and (except for ``string``) one socle

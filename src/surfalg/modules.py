@@ -17,16 +17,19 @@ resolution, so the simple's syzygies are read off it
 :func:`module_iso` serve the uniserial check and the cases where that
 reading cannot be made.
 
-Maps between projectives are built from basis products: a left
-multiplication by an element is a sum of closed-form products
-``AlgebraTable.basis_product``, and the cover map of a syzygy applies
-every basis element of e_v A to a generator in one arrow step each, by
-extending the shorter g-word (:meth:`RightModule.act_words`).  So both
-cost one step per coordinate of the projective, not one per arrow of
-each basis element's word.  A syzygy then runs one transform-tracking
-elimination per vertex, on the rows of its cover map: the generators come
-from a pivots-only elimination of the radical, and the kernel's arrow
-action is read off the identity block of the kernel basis, with no solve.
+Maps between projectives are read off the codomain's own arrow matrices,
+which are the algebra's table of right products by an arrow: a left
+multiplication by elements sends the basis of one domain summand e_v A to
+a vector x of the codomain at v times every basis element of e_v A, and
+:meth:`RightModule.act_words` forms all of these products in one arrow
+step each, by extending the shorter g-word.  The cover map of a syzygy is
+built the same way from a generator.  So both cost one step per
+coordinate of the projective, not one per arrow of each basis element's
+word, and no closed-form product ``AlgebraTable.basis_product`` is asked
+for.  A syzygy then runs one transform-tracking elimination per vertex,
+on the rows of its cover map: the generators come from a pivots-only
+elimination of the radical, and the kernel's arrow action is read off
+the identity block of the kernel basis, with no solve.
 """
 
 import random
@@ -40,16 +43,32 @@ from .linalg import (RowSolver, intersection_dim, pivot_columns,
 class RightModule:
     """A right module: per-vertex dimensions and per-arrow matrices.
 
-    ``mats`` gives dense matrices (lists of lists) keyed by arrow; a missing
-    arrow acts by zero.  Their shapes are checked against ``dims`` and they
-    are stored as sparse rows in ``self.mats``.
+    ``dims`` maps vertices to non-negative ints; a missing vertex has
+    dimension 0.  ``mats`` gives dense matrices (lists of lists) keyed by
+    arrow; a missing arrow acts by zero.  Their shapes are checked against
+    ``dims`` and they are stored as sparse rows in ``self.mats``.
+
+    Raises:
+        ValueError: for a vertex or an arrow the quiver does not have, a
+            dimension that is not a non-negative ``int`` (a ``bool``
+            among them), a matrix of the wrong shape, or, with
+            ``check_relations``, a relation that does not act by zero.
     """
 
     def __init__(self, table, dims, mats, check_relations=True):
         self.table = table
         q = table.quiver
         zero = table.field.zero
-        self.dims = {v: int(dims.get(v, 0)) for v in q.vertices}
+        for what, keys, known in (("vertex", dims, q.vertices),
+                                  ("arrow", mats, q.arrows)):
+            for k in keys:
+                if k not in known:
+                    raise ValueError(f"unknown {what} {k!r}")
+        for v, n in dims.items():
+            if type(n) is not int or n < 0:
+                raise ValueError(f"dimension at vertex {v!r} must be a "
+                                 f"non-negative int, got {n!r}")
+        self.dims = {v: dims.get(v, 0) for v in q.vertices}
         self.mats = {}
         for a in q.arrows:
             ns, nt = self.dims[q.src[a]], self.dims[q.tgt[a]]
@@ -81,10 +100,24 @@ class RightModule:
         return sum(self.dims.values())
 
     def act_path(self, vec, arrows):
-        """Apply a path of arrows to a sparse vector at the path's source."""
+        """Apply a path of arrows to a sparse vector at the path's source.
+
+        A vector of one entry {i: x} maps under an arrow to row i of the
+        arrow's matrix, copied when x is one and scaled by x otherwise.
+        That is the sum the general step builds with ``field.axpy``: each
+        entry is x times the row's entry, and none cancels, since both
+        factors are nonzero (no sparse vector or row stores a zero).  Most
+        vectors of the resolution maps and of the syzygy cover maps have
+        one entry.
+        """
         field = self.table.field
         for a in arrows:
             mat = self.mats[a]
+            if len(vec) == 1:
+                (i, x), = vec.items()
+                vec = (dict(mat[i]) if x == field.one else
+                       {j: field.mul(x, c) for j, c in mat[i].items()})
+                continue
             out = {}
             for i, x in vec.items():
                 field.axpy(out, mat[i].items(), x)
@@ -206,26 +239,34 @@ def module_map_from_elements(elems, domain, codomain):
     sum_j elems[l][j] x_j.  Left multiplication commutes with the right
     module structure, so this is a module homomorphism.  The domain
     coordinate (j, k), the basis element b_k of summand j, goes to
-    elems[l][j] b_k in summand l: the sum over the terms cf b_i of
-    elems[l][j] of cf times the closed-form product b_i b_k
-    (:meth:`AlgebraTable.basis_product`).
+    x_j . b_k, where x_j is the column (elems[l][j])_l: its term cf b_i of
+    elems[l][j] is the codomain coordinate (l, i), at the vertex srcs[j]
+    where b_i ends.  :meth:`RightModule.act_words` of the codomain gives
+    x_j . b_k for every basis element b_k of e_srcs[j] A, one arrow step
+    each, so the map is read off the codomain's arrow matrices.
+
+    Why this is the sum over the terms cf b_i of elems[l][j] of cf times
+    b_i b_k in summand l.  A projective's arrow matrices are the right
+    table: the coordinate (l, i) times an arrow a is the row of right
+    products of b_i by a, in summand l.  ``act_words`` takes b_k = e_v as
+    x_j itself, the word w(a, l) as w(a, l - 1) times the arrow
+    g^(l-1)(a) (the prefix identity of g-words), and the socle element s_v
+    as c_a w(a, mn_a) for the least arrow a at v.  So x_j . b_k is x_j
+    multiplied by the arrows of b_k's word, one right-table lookup per
+    term and arrow, times b_k's scalar: by linearity the sum over the
+    terms of cf times the arrow walk of b_i over b_k, which is b_i b_k
+    (the walk is the oracle of the closed-form products
+    :meth:`AlgebraTable.basis_product`).
     """
-    table = domain.table
-    field = table.field
-    mats = {}
-    for w in table.quiver.vertices:
-        pos = codomain.layout_pos[w]
-        mat = []
-        for j, k in domain.layout[w]:
-            row = {}
-            for l, line in enumerate(elems):
-                for i, cf in (line[j] or {}).items():
-                    field.axpy(row, ((pos[(l, k2)], c2)
-                                     for k2, c2 in table.basis_product(i, k)),
-                               cf)
-            mat.append(row)
-        mats[w] = mat
-    return ModuleMap(domain, codomain, mats)
+    images = []
+    for j, v in enumerate(domain.components):
+        pos = codomain.layout_pos[v]
+        images.append(codomain.act_words(
+            {pos[(l, i)]: cf for l, line in enumerate(elems)
+             for i, cf in (line[j] or {}).items()}, v))
+    return ModuleMap(domain, codomain, {
+        w: [images[j][k] for j, k in domain.layout[w]]
+        for w in domain.table.quiver.vertices})
 
 
 def syzygy(module):
@@ -272,13 +313,7 @@ def syzygy(module):
     surjective = (sum(s.rank for s in hsolvers.values())
                   == module.total_dim)
     kbasis = {w: hsolvers[w].kernel() for w in q.vertices}
-    # Minimality: kernel rows avoid the generator coordinates e_v.
-    gen_coord = {}
-    for j, (v, _) in enumerate(gens):
-        gen_coord.setdefault(v, []).append(
-            cover.layout_pos[v][(j, table.index[("e", v)])])
-    minimal = not any(p in row for w in q.vertices for row in kbasis[w]
-                      for p in gen_coord.get(w, ()))
+    minimal = _in_radical(cover, kbasis)
     # cover coordinate -> the kernel vector with its identity entry there
     kpos = {w: {i: p for p, i in enumerate(hsolvers[w].kernel_rows)}
             for w in q.vertices}
@@ -429,17 +464,14 @@ def _resolution_maps(table, v):
     return al, ab, pi1, pi2, pi3
 
 
-def _lands_in_radical(pi):
-    """Whether every row of a map between projective sums avoids the
-    generator coordinates (j, e_w) of its codomain, w the vertex of
-    summand j: then its image lies in the radical of the codomain."""
-    index = pi.domain.table.index
-    codomain = pi.codomain
-    for j, w in enumerate(codomain.components):
-        pos = codomain.layout_pos[w][(j, index[("e", w)])]
-        if any(pos in row for row in pi.mats[w]):
-            return False
-    return True
+def _in_radical(projective, rows):
+    """Whether the rows at each vertex w, ``rows[w]`` in the coordinates of
+    a projective sum, avoid its generator coordinates (j, e_w), w the
+    vertex of summand j: then they lie in the radical of the sum."""
+    index = projective.table.index
+    return not any(projective.layout_pos[w][(j, index[("e", w)])] in row
+                   for j, w in enumerate(projective.components)
+                   for row in rows[w])
 
 
 def verify_simple_resolution(table, v):
@@ -475,7 +507,7 @@ def read_simple_syzygies(table, v):
     onto ker pi_i with kernel im pi_(i+2) inside rad P_(i+1), so it is a
     projective cover.  pi1 landing in rad P_v is already a stage, and the
     socle inclusion S_v -> P_v lands in J; pi2 and pi3 are checked here on
-    their own rows (:func:`_lands_in_radical`), not taken from the element
+    their own rows (:func:`_in_radical`), not taken from the element
     formulas.  Minimal syzygies are unique up to isomorphism, so
     Omega^1 = rad P_v, Omega^2 = ker pi1 (dimension dim P1 - r1, the
     report's ``omega2_dim``), Omega^3 = ker pi2 = im pi3 (dimension r3)
@@ -492,8 +524,9 @@ def read_simple_syzygies(table, v):
     singular tetrahedral algebra, or when pi2 or pi3 leaves the radical.
     """
     report, pi2, pi3 = _simple_resolution(table, v)
-    if (report["failing_stage"] is not None or not _lands_in_radical(pi2)
-            or not _lands_in_radical(pi3)):
+    if (report["failing_stage"] is not None
+            or not _in_radical(pi2.codomain, pi2.mats)
+            or not _in_radical(pi3.codomain, pi3.mats)):
         return report, None
     # r3 is the rank of the stage kernel_pi2_equals_image_pi3.
     middle = [report["dims"]["P0"] - 1, report["omega2_dim"],
@@ -527,7 +560,7 @@ def _simple_resolution(table, v):
     r1 = pi1.rank()
     stages.append({
         "name": "image_pi1_is_radical",
-        "ok": _lands_in_radical(pi1) and r1 == p_v.total_dim - 1,
+        "ok": _in_radical(p_v, pi1.mats) and r1 == p_v.total_dim - 1,
         "rank": r1,
         "expected_rank": p_v.total_dim - 1,
     })

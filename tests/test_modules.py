@@ -56,6 +56,32 @@ def test_module_relation_check_catches_errors():
         sa.RightModule(t, dims, {"alpha": [[F.one, F.one]]})
 
 
+@pytest.mark.parametrize("dims,mats,match", [
+    ({1: 1, 2: 1, 99: 5}, {}, "unknown vertex 99"),
+    ({1: 1, 2: 1}, {"nope": [[1]]}, "unknown arrow 'nope'"),
+    ({1: 1.7}, {}, "vertex 1 must be a non-negative int, got 1.7"),
+    ({1: True}, {}, "got True"),
+    ({1: -1}, {}, "got -1"),
+    ({1: Fraction(1)}, {}, "got Fraction"),
+    ({1: "1"}, {}, "got '1'"),
+])
+def test_right_module_refuses_unknown_keys_and_bad_dims(dims, mats, match):
+    t = fx.triangle_algebra()
+    for check in (True, False):
+        with pytest.raises(ValueError, match=match):
+            sa.RightModule(t, dims, mats, check_relations=check)
+
+
+def test_right_module_defaults_missing_vertices_and_arrows():
+    t = fx.triangle_algebra()
+    m = sa.RightModule(t, {2: 1}, {})
+    assert m.dims == {1: 0, 2: 1, 3: 0}
+    assert all(m.mats[a] == [{}] * m.dims[t.quiver.src[a]]
+               for a in t.quiver.arrows)
+    assert sa.simple_module(t, 1).dims == {1: 1, 2: 0, 3: 0}
+    assert sa.uniserial_module(t, "beta").total_dim == 2
+
+
 def test_radical_profile_of_projective():
     t = fx.triangle_algebra()
     q = t.quiver

@@ -4,8 +4,10 @@
 without reducing it; ``RationalField.inv`` inverts an int or a
 ``Fraction`` without ``1 / Fraction(a)``; ``GData.g_power`` reads g^k(a)
 off the orbit; ``side_products`` reads products by an idempotent or
-(on the left) an arrow off the table; and ``apply_flat`` forms a product
-of one-term factors with one ``basis_product`` lookup.  Each must give
+(on the left) an arrow off the table; ``apply_flat`` forms a product
+of one-term factors with one ``basis_product`` lookup; and
+``RightModule.act_path`` maps a vector of one entry under an arrow to a
+copy, or a multiple, of one row of the arrow's matrix.  Each must give
 the general path's output exactly, in the same order.
 """
 
@@ -20,6 +22,7 @@ from surfalg.bimodule import (
     BimoduleMap, bimodule_spaces, map_d, map_d0, map_R, map_S,
     map_theta, side_products)
 from surfalg.linalg import RowSolver, _ckey, pivot_columns
+from surfalg.modules import projective_sum
 
 import fixtures as fx
 from test_closed_form import FIELDS, deformed_triangle
@@ -267,3 +270,65 @@ def test_apply_flat_matches_flatten_of_multiply_deformed_f2():
     rng = random.Random("apply_flat/deformed/F2")
     assert_apply_flat_matches(sa.build_algebra(
         deformed_triangle(sa.PrimeField(2), rng, True)), rng)
+
+
+# -- module arrow steps ------------------------------------------------------
+
+def general_act_path(module, vec, arrows):
+    """``act_path`` with every step taking the general ``axpy`` path."""
+    field = module.table.field
+    for a in arrows:
+        out = {}
+        for i, x in vec.items():
+            field.axpy(out, module.mats[a][i].items(), x)
+        vec = out
+    return vec
+
+
+def one_entry_scalars(field):
+    """One, an int, and over Q an integral and a non-integral
+    ``Fraction``."""
+    if field.char == 0:
+        return (1, -3, Fraction(4), Fraction(-2, 7))
+    return (field.one, field.of_int(-3), field.of_int(57))
+
+
+def assert_act_path_matches(module, rng):
+    table, field = module.table, module.table.field
+    paths = [table.chain(k)[1] for k in range(table.dim)]
+    for v in table.quiver.vertices:
+        n = module.dims[v]
+        vecs = [{i: x} for i in range(n) for x in one_entry_scalars(field)]
+        if n > 1:
+            vecs.append({i: field.of_int(rng.randrange(1, 50))
+                         for i in rng.sample(range(n), 2)})
+        for arrows in paths:
+            if arrows and table.quiver.src[arrows[0]] == v:
+                for vec in vecs:
+                    before = dict(vec)
+                    assert list(module.act_path(vec, arrows).items()) == \
+                        list(general_act_path(module, vec, arrows).items())
+                    assert vec == before
+
+
+def act_path_modules(table):
+    """The regular module and the radical of each projective."""
+    return [projective_sum(table, table.quiver.vertices)] + [
+        sa.syzygy(sa.simple_module(table, v))[0]
+        for v in table.quiver.vertices]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_act_path_one_entry_step_matches_general(name, kind, field):
+    rng = random.Random(f"act_path/{name}/{kind}/{field}")
+    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng))
+    for module in act_path_modules(t):
+        assert_act_path_matches(module, rng)
+
+
+def test_act_path_one_entry_step_matches_general_deformed_f2():
+    rng = random.Random("act_path/deformed/F2")
+    t = sa.build_algebra(deformed_triangle(sa.PrimeField(2), rng, True))
+    for module in act_path_modules(t):
+        assert_act_path_matches(module, rng)

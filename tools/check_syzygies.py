@@ -18,8 +18,13 @@ module and whose partner's module (f(g(f(arrow)))) both live on distinct
 vertices must equal the four-syzygy loop ``four_syzygy_check`` of
 ``tests/test_modules.py``, arrow by arrow; on most non-tetrahedral tables
 Omega^2 is not the partner's module, so both of the batch's paths run.
-Prints the number of modules, tables, radicals and uniserial reports
-compared; exits 1 at the first mismatch.
+On the same tables again, the maps pi1, pi2 and pi3 of the simple
+resolution at every vertex, which ``module_map_from_elements`` reads off
+the codomain's arrow matrices, must equal row for row the maps built from
+closed-form basis products, ``product_map_from_elements`` of
+``tests/test_resolution_maps.py``, whose tests run weight raises 0 and 1.
+Prints the number of modules, tables, radicals, uniserial reports and
+resolution maps compared; exits 1 at the first mismatch.
 """
 
 import os
@@ -34,6 +39,7 @@ import surfalg as sa  # noqa: E402
 from surfalg.linalg import RowSolver, pivot_columns  # noqa: E402
 from test_closed_form import FIELDS  # noqa: E402
 from test_modules import four_syzygy_check  # noqa: E402
+from test_resolution_maps import resolution_maps_match_products  # noqa: E402
 from test_syzygy import (  # noqa: E402
     CASES, chain_syzygy, presentation, start_modules)
 
@@ -44,7 +50,7 @@ STEPS = 4
 def main():
     rng = random.Random(7)
     modules = tables = radicals = 0
-    uniserial = partner_reads = 0
+    uniserial = partner_reads = maps = 0
     for name, kind in CASES:
         for field in sorted(FIELDS):
             for up in RAISES:
@@ -86,12 +92,20 @@ def main():
                 uniserial += len(expect)
                 partner_reads += sum(r["omega2_is_partner_module"]
                                      for r in expect)
+                try:
+                    maps += resolution_maps_match_products(t)
+                except AssertionError as err:
+                    print(f"MAP MISMATCH {name} {kind} over {t.field} "
+                          f"dim {t.dim} at (vertex, map[, row vertex]) {err}")
+                    return 1
                 tables += 1
     print(f"syzygy equals the chain oracle on {modules} modules "
           f"of {tables} tables; pivot_columns equals RowSolver pivots on "
           f"{radicals} radicals; uniserial_period_checks equals the "
           f"four-syzygy loop on {uniserial} reports "
-          f"({partner_reads} with Omega^2 the partner's module)")
+          f"({partner_reads} with Omega^2 the partner's module); "
+          f"module_map_from_elements equals the basis-product maps on "
+          f"{maps} resolution maps")
     return 0
 
 
