@@ -37,11 +37,15 @@ scalar, and all element arithmetic goes through the field's sparse-row
 kernel ``field.axpy``.  The product of two basis elements is read off in
 closed form, one lookup in the table of right products by an arrow and one
 g-orbit test, at a cost that does not grow with the weight; all
-computations are exact.  The
-symmetrizing form is checked on the sparse Gram matrix, which has at most
-two nonzero entries per row, at the socle partners of each basis element,
-so the Gram matrix, its symmetry and its rank cost O(dim).
+computations are exact.  Products are not memoized: the closed form costs
+about one dict lookup, so a memo saves no time, and one that kept every
+pair the bimodule check asks for held most of what the check left on the
+table.  The symmetrizing form is checked on the sparse Gram matrix, which
+has at most two nonzero entries per row, at the socle partners of each
+basis element, so the Gram matrix, its symmetry and its rank cost O(dim).
 """
+
+from collections import Counter
 
 from .fields import RationalField
 from .linalg import det_int, rank_of_rows
@@ -169,13 +173,9 @@ class AlgebraTable:
         self.dim = len(self.basis)
         self.src_of = [self._src(b) for b in self.basis]
         self.tgt_of = [self._tgt(b) for b in self.basis]
-        self.by_pair = {}
-        for i in range(self.dim):
-            self.by_pair.setdefault((self.src_of[i], self.tgt_of[i]), []).append(i)
         self._basis_of = {}
         self.right = {}
         self._build_right_table()
-        self._bp = {}
         self._gram = None
         self._dual = None
 
@@ -275,29 +275,21 @@ class AlgebraTable:
           term is killed by any further arrow, so it survives only when
           l = 1.
         """
-        key = (i, j)
-        cached = self._bp.get(key)
-        if cached is not None:
-            return cached
-        field = self.field
         bi, bj = self.basis[i], self.basis[j]
         if self.tgt_of[i] != self.src_of[j]:
-            result = ()
-        elif bj[0] == "e":
-            result = ((i, field.one),)
-        elif bi[0] == "e":
-            result = ((j, field.one),)
-        elif bi[0] == "s" or bj[0] == "s":
-            result = ()
-        else:
-            a, length = bj[1], bj[2]
-            terms = self.right.get((i, a), ())
-            if length > 1:
-                terms = [self._continue(t, a, length) for t in terms]
-                terms = [t for t in terms if t is not None]
-            result = tuple(sorted(terms))
-        self._bp[key] = result
-        return result
+            return ()
+        if bj[0] == "e":
+            return ((i, self.field.one),)
+        if bi[0] == "e":
+            return ((j, self.field.one),)
+        if bi[0] == "s" or bj[0] == "s":
+            return ()
+        a, length = bj[1], bj[2]
+        terms = self.right.get((i, a), ())
+        if length > 1:
+            terms = [self._continue(t, a, length) for t in terms]
+            terms = [t for t in terms if t is not None]
+        return tuple(sorted(terms))
 
     def _continue(self, term, a, length):
         """A term of b_i a times g(a) ... g^(length-1)(a), or None for 0."""
@@ -460,7 +452,8 @@ def dimension_report(table):
 def cartan_matrix(table):
     """The Cartan matrix C[i][j] = dim e_i A e_j and its determinant."""
     verts = table.quiver.vertices
-    mat = [[len(table.by_pair.get((u, v), ())) for v in verts] for u in verts]
+    counts = Counter(zip(table.src_of, table.tgt_of))
+    mat = [[counts[(u, v)] for v in verts] for u in verts]
     return {
         "vertices": list(verts),
         "matrix": mat,

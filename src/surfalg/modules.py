@@ -197,13 +197,18 @@ def projective_sum(table, vertices):
     return mod
 
 
+def _known_vertex(table, v):
+    if v not in table.quiver.vertices:
+        raise ValueError(f"unknown vertex {v!r}")
+
+
 def projective_module(table, v):
+    _known_vertex(table, v)
     return projective_sum(table, [v])
 
 
 def simple_module(table, v):
-    dims = {w: (1 if w == v else 0) for w in table.quiver.vertices}
-    return RightModule(table, dims, {}, check_relations=False)
+    return RightModule(table, {v: 1}, {}, check_relations=False)
 
 
 class ModuleMap:
@@ -392,8 +397,9 @@ def module_iso(m1, m2, seed=0, budget=64):
 
     Returns (True, {"iso": matrices}) with a certified isomorphism, or
     (False, reason).  A False answer is definitive when the dimension
-    vectors differ or no homomorphisms exist at all; otherwise it only
-    reports that no isomorphism was found within the seeded random budget.
+    vectors differ, no homomorphisms exist at all, or every one is a
+    multiple of one map that is not invertible; otherwise it only reports
+    that no isomorphism was found within the seeded random budget.
     """
     if m1.dims != m2.dims:
         return False, {"reason": "dimension vectors differ", "definitive": True}
@@ -406,6 +412,9 @@ def module_iso(m1, m2, seed=0, budget=64):
     for mats in basis:
         if _invertible_everywhere(mats, m1.dims, field):
             return True, {"iso": mats}
+    if len(basis) == 1:
+        return False, {"reason": "the one homomorphism up to scalars is "
+                       "not invertible", "definitive": True}
     rng = random.Random(seed)
     span = field.char if field.char else 11
     for _ in range(budget):
@@ -486,7 +495,7 @@ def verify_simple_resolution(table, v):
     case).
 
     Raises:
-        ValueError: unless the kind is weighted or deformed.
+        ValueError: unless the kind is weighted or deformed and v a vertex.
     """
     return _simple_resolution(table, v)[0]
 
@@ -545,6 +554,7 @@ def _simple_resolution(table, v):
     if table.kind not in ("weighted", "deformed"):
         raise ValueError(
             "simple resolutions require kind 'weighted' or 'deformed'")
+    _known_vertex(table, v)
     q = table.quiver
     field = table.field
     al, ab, pi1, pi2, pi3 = _resolution_maps(table, v)
@@ -633,14 +643,12 @@ def _simple_resolution(table, v):
 def uniserial_module(table, arrow):
     """The two-dimensional uniserial module supported on one arrow."""
     q = table.quiver
+    if arrow not in q.src:
+        raise ValueError(f"unknown arrow {arrow!r}")
     s, t = q.src[arrow], q.tgt[arrow]
     if s == t:
         raise ValueError("uniserial arrow module needs distinct endpoints")
-    dims = {w: 0 for w in q.vertices}
-    dims[s] = 1
-    dims[t] = 1
-    mats = {arrow: [[table.field.one]]}
-    return RightModule(table, dims, mats, check_relations=True)
+    return RightModule(table, {s: 1, t: 1}, {arrow: [[table.field.one]]})
 
 
 def uniserial_period_checks(table, arrows):

@@ -226,6 +226,14 @@ def test_cartan_matrix_values():
     cm2 = sa.cartan_matrix(t2)
     assert cm2["matrix"] == [[8, 8, 8], [8, 8, 8], [8, 8, 8]]
     assert cm2["det"] == 0
+    # the counted matrix against the basis_of lists, on every fixture
+    for name, kind in WORD_CASES:
+        t = sa.build_algebra(presentation(name, kind, sa.QQ,
+                                          random.Random(name)))
+        verts = t.quiver.vertices
+        assert sa.cartan_matrix(t)["matrix"] == [
+            [len(t.basis_of(source=u, target=v)) for v in verts]
+            for u in verts], (name, kind)
 
 
 def test_cartan_det_formula_sphere():

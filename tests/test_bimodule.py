@@ -417,6 +417,27 @@ def test_stage_ranks_make_no_multiply_call(field):
     assert calls == []
 
 
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_bimodule_check_leaves_the_table_as_it_was(field):
+    # basis_product keeps no state: a memo of products would grow here.
+    # What the table computes once (the Gram matrix, the dual basis and
+    # the basis_of lists the check reads) is computed beforehand.
+    t = fx.triangle_algebra(m=4, field=FIELDS[field])
+    sa.dual_basis(t)
+    for v in t.quiver.vertices:
+        t.basis_of(source=v)
+        t.basis_of(target=v)
+
+    def snapshot():
+        return {k: len(x) if isinstance(x, (dict, list)) else None
+                for k, x in vars(t).items()}
+
+    before = snapshot()
+    rep = verify_bimodule_periodicity(t)
+    assert rep["verdict"] == "PERIODIC_PERIOD_4"
+    assert snapshot() == before
+
+
 def test_deformed_nonzero_border_needs_char_2():
     t = sa.build_algebra(sa.Presentation(
         fx.triangle_quiver(), kind="deformed", field=sa.QQ,

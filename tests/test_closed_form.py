@@ -115,7 +115,7 @@ def blockwise_gram(t, phi):
     gram = []
     for i in range(t.dim):
         row = {}
-        for j in t.by_pair.get((t.tgt_of[i], t.src_of[i]), ()):
+        for j in t.basis_of(source=t.tgt_of[i], target=t.src_of[i]):
             val = form_value(t, phi, dict(t.basis_product(i, j)))
             if val != t.field.zero:
                 row[j] = val
@@ -127,7 +127,7 @@ def blockwise_failing_pair(t, gram):
     """The first pair i < j, in row-major order, with G[i][j] != G[j][i]."""
     zero = t.field.zero
     for i in range(t.dim):
-        for j in t.by_pair.get((t.tgt_of[i], t.src_of[i]), ()):
+        for j in t.basis_of(source=t.tgt_of[i], target=t.src_of[i]):
             if j > i and gram[i].get(j, zero) != gram[j].get(i, zero):
                 return {"i": list(t.basis[i]), "j": list(t.basis[j])}
     return None
@@ -172,7 +172,8 @@ def test_failing_pair_is_first_in_row_major_order():
             broken = [dict(row) for row in gram]
             for _ in range(rng.randint(1, 3)):
                 i = rng.randrange(t.dim)
-                j = rng.choice(t.by_pair[(t.tgt_of[i], t.src_of[i])])
+                j = rng.choice(t.basis_of(source=t.tgt_of[i],
+                                          target=t.src_of[i]))
                 broken[i][j] = t.field.add(broken[i].get(j, t.field.zero),
                                            t.field.one)
                 if broken[i][j] == t.field.zero:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_right_module_defaults_missing_vertices_and_arrows():
     assert sa.uniserial_module(t, "beta").total_dim == 2
 
 
+@pytest.mark.parametrize("build,key,match", [
+    (sa.simple_module, 99, "unknown vertex 99"),
+    (sa.projective_module, 99, "unknown vertex 99"),
+    (sa.verify_simple_resolution, 99, "unknown vertex 99"),
+    (modules.read_simple_syzygies, 99, "unknown vertex 99"),
+    (sa.uniserial_module, "nope", "unknown arrow 'nope'"),
+])
+def test_module_constructors_refuse_unknown_ids(build, key, match):
+    with pytest.raises(ValueError, match=match):
+        build(fx.triangle_algebra(), key)
+
+
 def test_radical_profile_of_projective():
     t = fx.triangle_algebra()
     q = t.quiver
@@ -136,6 +149,26 @@ def test_hom_space_and_iso():
     assert big.total_dim == p1.total_dim
     ok4, _ = sa.module_iso(big, p1)
     assert ok4
+
+
+def test_module_iso_one_dimensional_hom_is_exact(monkeypatch):
+    # Hom(U_alpha, S_1 (+) S_2) is one-dimensional and its map kills the
+    # radical of U_alpha, at vertex 2: no map is invertible, and the
+    # answer is definitive without a random search.
+    t = fx.triangle_algebra()
+    u = sa.uniserial_module(t, "alpha")
+    semisimple = sa.RightModule(t, {1: 1, 2: 1}, {})
+    basis = hom_space(u, semisimple)
+    assert len(basis) == 1 and basis[0][2] == [{}]
+
+    def no_search(seed):
+        raise AssertionError("the random search was entered")
+
+    monkeypatch.setattr(modules, "random", SimpleNamespace(Random=no_search))
+    ok, cert = sa.module_iso(u, semisimple)
+    assert not ok and cert["definitive"]
+    ok, cert = sa.module_iso(u, u)
+    assert ok and "iso" in cert
 
 
 def test_simple_resolution_report_fields():
