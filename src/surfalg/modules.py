@@ -46,19 +46,23 @@ class RightModule:
     ``dims`` maps vertices to non-negative ints; a missing vertex has
     dimension 0.  ``mats`` gives dense matrices (lists of lists) keyed by
     arrow; a missing arrow acts by zero.  Their shapes are checked against
-    ``dims`` and they are stored as sparse rows in ``self.mats``.
+    ``dims``, each entry is read by ``field.coerce`` (so 101 is 0 over
+    F101), and they are stored as sparse rows in ``self.mats``, without
+    the entries that are zero.
 
     Raises:
         ValueError: for a vertex or an arrow the quiver does not have, a
             dimension that is not a non-negative ``int`` (a ``bool``
-            among them), a matrix of the wrong shape, or, with
-            ``check_relations``, a relation that does not act by zero.
+            among them), a matrix of the wrong shape, an entry that
+            ``field.coerce`` refuses (a float, a ``bool`` or a string
+            among them), or, with ``check_relations``, a relation that
+            does not act by zero.
     """
 
     def __init__(self, table, dims, mats, check_relations=True):
         self.table = table
         q = table.quiver
-        zero = table.field.zero
+        zero, coerce = table.field.zero, table.field.coerce
         for what, keys, known in (("vertex", dims, q.vertices),
                                   ("arrow", mats, q.arrows)):
             for k in keys:
@@ -79,8 +83,8 @@ class RightModule:
                 raise ValueError(
                     f"matrix for arrow {a!r} must be {ns} x {nt}"
                 )
-            self.mats[a] = [{j: x for j, x in enumerate(row) if x != zero}
-                            for row in m]
+            self.mats[a] = [{j: x for j, x in enumerate(map(coerce, row))
+                             if x != zero} for row in m]
         if check_relations:
             bad = self.violated_relations()
             if bad:

@@ -54,7 +54,9 @@ def validate_surface(edges, triangles, boundary=()):
 
     Raises:
         ValueError: on duplicate ids, unknown edges, triangles of the wrong
-            shape, or an edge not occupying exactly two slots.
+            shape, two boundary edges whose ids print alike (their loops
+            would share a name), or an edge not occupying exactly two
+            slots.
     """
     edges = list(edges)
     seen = set()
@@ -78,13 +80,18 @@ def validate_surface(edges, triangles, boundary=()):
                 f"in the first two positions"
             )
     boundary = list(boundary)
-    bset = set()
+    bset, printed = set(), {}
     for e in boundary:
         if e in bset:
             raise ValueError(f"duplicate boundary edge {e!r}")
         if e not in eset:
             raise ValueError(f"unknown boundary edge {e!r}")
+        if str(e) in printed:
+            raise ValueError(
+                f"boundary edges {printed[str(e)]!r} and {e!r} print alike, "
+                f"so both loops would be named 'bd_{e}'")
         bset.add(e)
+        printed[str(e)] = e
     slots = {e: 0 for e in edges}
     for t in triangles:
         for e in t:

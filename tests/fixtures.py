@@ -1,4 +1,5 @@
-"""Shared quiver, surface, and document fixtures named by their structure."""
+"""Shared quiver, surface, and document fixtures named by their structure,
+and the seeded presentations that the tests and ``tools/`` build from them."""
 
 from fractions import Fraction
 
@@ -136,6 +137,57 @@ def deformed_triangle_f2(b=(1, 1, 1)):
     return sa.build_algebra(sa.Presentation(
         triangle_quiver(), kind="deformed", field=field,
         b={1: b[0], 2: b[1], 3: b[2]}))
+
+
+# -- seeded presentations of the fixture quivers --------------------------
+
+KINDS = ("weighted", "biserial", "string")
+FIELDS = {"Q": sa.QQ, "F101": sa.PrimeField(101)}
+
+
+def nonzero(field, rng):
+    if field.char == 0:
+        return Fraction(rng.randint(1, 7) * rng.choice((1, -1)),
+                        rng.randint(1, 7))
+    return rng.randrange(1, field.char)
+
+
+def least_weights(name, q):
+    low = MIN_WEIGHTS[name]
+    return {o[0]: max(low.get(a, 1) for a in o)
+            for o in sa.g_structure(q).orbits}
+
+
+def presentation(name, kind, field, rng, raise_by=0):
+    """A fixture quiver's presentation at raised weights, with seeded
+    nonzero parameters and, for ``deformed``, border values in {0, 1}."""
+    q = ALL_QUIVERS[name]()
+    m = {rep: w + raise_by for rep, w in least_weights(name, q).items()}
+    c = {rep: nonzero(field, rng) for rep in m}
+    b = None
+    if kind == "deformed":
+        b = {v: field.of_int(rng.randrange(2)) for v in sa.border(q)[0]}
+    return sa.Presentation(q, kind=kind, field=field, m=m, c=c, b=b)
+
+
+def deformed_triangle(field, rng, border_nonzero, raise_by=0):
+    q = triangle_quiver()
+    m = {o[0]: 1 + raise_by for o in sa.g_structure(q).orbits}
+    c = {rep: nonzero(field, rng) for rep in m}
+    b = {v: nonzero(field, rng) if border_nonzero else field.zero
+         for v in q.vertices}
+    return sa.Presentation(q, kind="deformed", field=field, m=m, c=c, b=b)
+
+
+# (quiver name, kind) for every fixture quiver, deformed where a border
+# exists
+CASES = [(name, kind) for name in sorted(ALL_QUIVERS)
+         for kind in ("weighted", "deformed")
+         if kind == "weighted" or sa.border(ALL_QUIVERS[name]())[0]]
+# act_words serves every kind: string algebras stop at words of length
+# mn - 2 and have no socle element.
+WORD_CASES = CASES + [(name, kind) for name in sorted(ALL_QUIVERS)
+                      for kind in ("biserial", "string")]
 
 
 def walk(table, cur, arrows):

@@ -12,8 +12,8 @@ from surfalg.algebra import el_add, form_value
 from surfalg.fields import PrimeField
 
 import fixtures as fx
-from test_closed_form import FIELDS
-from test_syzygy import WORD_CASES, presentation
+from fixtures import FIELDS, WORD_CASES, presentation
+from test_closed_form import assert_words_match_walk
 
 
 def all_kind_tables():
@@ -208,13 +208,9 @@ def test_word_overflow_hits_socle():
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name,kind", WORD_CASES)
 def test_word_element_matches_walk(name, kind, field):
-    # the g-word rule at every length, through the socle and past it
     rng = random.Random(f"{name}/{kind}/{field}")
-    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng))
-    for a in t.quiver.arrows:
-        for length in range(t.mn[a] + 2):
-            assert t.word_element(a, length) == fx.walked_word(t, a, length), \
-                (kind, a, length)
+    assert_words_match_walk(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng)))
 
 
 def test_cartan_matrix_values():

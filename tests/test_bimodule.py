@@ -25,8 +25,7 @@ from surfalg.bimodule import (
 from surfalg.linalg import rank_of_rows
 
 import fixtures as fx
-from test_closed_form import FIELDS, deformed_triangle
-from test_syzygy import CASES, WORD_CASES, presentation
+from fixtures import CASES, FIELDS, WORD_CASES, deformed_triangle, presentation
 
 
 # frozen oracle for the one-triangle disc algebra with unit weights:
@@ -355,18 +354,23 @@ def walk_R_images(table):
 
 
 def assert_rows_match_oracle(table):
+    """Same block keys, same row order, equal rows (empty ones included),
+    and R's generator images equal to ``walk_R_images``.  Returns the
+    number of rows compared."""
+    rows = 0
     for name, bmap, lefts in row_cases(table):
         got = list(bmap._keyed_rows(lefts))
         assert got == list(oracle_keyed_rows(bmap, lefts)), name
+        rows += len(got)
         if name == "R":
             assert bmap.gen_images == walk_R_images(table)
+    return rows
 
 
 @pytest.mark.parametrize("raise_by", (0, 1))
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name,kind", CASES)
 def test_rows_match_multiply_oracle(name, kind, field, raise_by):
-    # same block keys, same row order, equal rows (empty ones included)
     rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
     assert_rows_match_oracle(sa.build_algebra(
         presentation(name, kind, FIELDS[field], rng, raise_by)))
@@ -617,21 +621,38 @@ def test_certificate_fast_path_taken():
     assert len(calls) == 5 and all(top for _, _, top in calls)
 
 
+def full_ranks(table, keys):
+    """The rank of each stage in ``keys`` from its map's full-size rows,
+    taken directly, outside the stage logic of
+    ``verify_bimodule_periodicity``."""
+    p0, p1, p2, p3 = bimodule_spaces(table)
+    rank = {"d0": lambda: map_d0(table, p0).rank(),
+            "d": lambda: map_d(table, p0, p1).rank(),
+            "R": lambda: map_R(table, p1, p2).rank(),
+            "S": lambda: map_S(table, p2, p3).rank(),
+            "theta": lambda: map_theta(table, p3)["rank"]()}
+    return {key: rank[key]() for key in keys}
+
+
 def assert_top_matches_exact(table):
-    """The certified report equals ``exact_report``; full-size rows are
-    built for the failing stage of a NOT_VERIFIED report only.  A nonzero
-    border away from characteristic 2 must raise on both paths."""
+    """The certified report equals ``exact_report`` and its ranks equal
+    ``full_ranks``; full-size rows are built for the failing stage of a
+    NOT_VERIFIED report only.  A nonzero border away from characteristic 2
+    must raise on both paths.  Returns the report, or None where both
+    raised."""
     try:
         with rank_calls() as calls:
             rep = verify_bimodule_periodicity(table)
     except ValueError as err:
         with pytest.raises(ValueError, match=str(err)):
             exact_report(table)
-        return
+        return None
     assert rep == exact_report(table)
+    assert rep["ranks"] == full_ranks(table, rep["ranks"])
     tops = [top for _, _, top in calls]
-    assert all(tops[:-1])
+    assert tops and all(tops[:-1]), tops
     assert tops[-1] == (rep["verdict"] == "PERIODIC_PERIOD_4")
+    return rep
 
 
 @pytest.mark.parametrize("raise_by", (0, 1))

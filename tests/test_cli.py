@@ -478,6 +478,13 @@ def relabelled_triangle_doc(arrow_1_twice=False, **extra):
     }
 
 
+# boundary edges 1 and "1" would both give a loop named "bd_1"
+ALIKE_BOUNDARY = {"surface": {
+    "edges": [1, "1", 2], "triangles": [{"edges": [1, "1", 2]}],
+    "boundary": [1, "1", 2]}}
+ALIKE_ERROR = ("boundary edges 1 and '1' print alike, so both loops would "
+               "be named 'bd_1'")
+
 ID_ERRORS = {
     "weights-unknown": (["dims"], triangle_doc(weights={"nope": 2}),
                         "error: unknown arrow id 'nope'\n"),
@@ -496,6 +503,9 @@ ID_ERRORS = {
                          "error: ambiguous vertex id '1'\n"),
     "f-ambiguous": (["validate"], relabelled_triangle_doc(arrow_1_twice=True),
                     "error: ambiguous arrow id '1'\n"),
+    **{f"boundary-alike-{command}": ([command], ALIKE_BOUNDARY,
+                                     f"error: {ALIKE_ERROR}\n")
+       for command in ("from-surface", "dims", "orbits", "dot")},
 }
 
 
@@ -516,3 +526,10 @@ def test_relabelled_ids_resolve_by_their_str():
     assert json.loads(out)["result"]["dim"] == 72
     code, out, _ = call_stdin(["resolve-simple", "-", "--vertex", "3"], doc)
     assert code == 0 and json.loads(out)["result"]["alpha"] == "mu"
+
+
+def test_validate_reports_boundary_edges_printing_alike():
+    code, out, err = call_stdin(["validate", "-"], json.dumps(ALIKE_BOUNDARY))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"] == {"valid": False,
+                                         "diagnostics": [ALIKE_ERROR]}

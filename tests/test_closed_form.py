@@ -18,9 +18,8 @@ from surfalg.algebra import _socle_partners, form_value
 from surfalg.linalg import RowSolver
 
 import fixtures as fx
-
-KINDS = ("weighted", "biserial", "string")
-FIELDS = {"Q": sa.QQ, "F101": sa.PrimeField(101)}
+from fixtures import (
+    FIELDS, KINDS, deformed_triangle, least_weights, presentation)
 
 
 def walk_product(t, i, j):
@@ -31,40 +30,25 @@ def walk_product(t, i, j):
     return tuple(sorted(fx.walk(t, {i: scale}, arrows).items()))
 
 
+def assert_words_match_walk(t):
+    """The g-word rule at every length, through the socle and past it.
+    Returns the number of words compared."""
+    words = 0
+    for a in t.quiver.arrows:
+        for length in range(t.mn[a] + 2):
+            assert t.word_element(a, length) == fx.walked_word(t, a, length), \
+                (t.kind, a, length)
+        words += t.mn[a] + 2
+    return words
+
+
 def assert_products_match_walk(t):
+    """Returns the number of basis pairs compared."""
     for i in range(t.dim):
         for j in range(t.dim):
             assert t.basis_product(i, j) == walk_product(t, i, j), \
                 (t.kind, t.basis[i], t.basis[j])
-
-
-def nonzero(field, rng):
-    if field.char == 0:
-        return Fraction(rng.randint(1, 7) * rng.choice((1, -1)),
-                        rng.randint(1, 7))
-    return rng.randrange(1, field.char)
-
-
-def least_weights(name, q):
-    low = fx.MIN_WEIGHTS[name]
-    return {o[0]: max(low.get(a, 1) for a in o)
-            for o in sa.g_structure(q).orbits}
-
-
-def presentation(name, kind, field, rng, raise_by=0):
-    q = fx.ALL_QUIVERS[name]()
-    m = {rep: w + raise_by for rep, w in least_weights(name, q).items()}
-    c = {rep: nonzero(field, rng) for rep in m}
-    return sa.Presentation(q, kind=kind, field=field, m=m, c=c)
-
-
-def deformed_triangle(field, rng, border_nonzero, raise_by=0):
-    q = fx.triangle_quiver()
-    m = {o[0]: 1 + raise_by for o in sa.g_structure(q).orbits}
-    c = {rep: nonzero(field, rng) for rep in m}
-    b = {v: nonzero(field, rng) if border_nonzero else field.zero
-         for v in q.vertices}
-    return sa.Presentation(q, kind="deformed", field=field, m=m, c=c, b=b)
+    return t.dim * t.dim
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

@@ -20,9 +20,8 @@ from surfalg.linalg import (
     _first_column, _least_column, _pivot_rows, pivot_columns, rank_of_rows)
 
 import fixtures as fx
-from test_closed_form import FIELDS
+from fixtures import CASES, FIELDS, presentation
 from test_one_term_paths import general_apply_flat
-from test_syzygy import CASES, presentation
 
 PICKS = {"first": _first_column, "least": _least_column}
 

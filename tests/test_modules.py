@@ -18,8 +18,7 @@ from surfalg.modules import (
 )
 
 import fixtures as fx
-from test_closed_form import FIELDS
-from test_syzygy import CASES, presentation
+from fixtures import CASES, FIELDS, presentation
 
 
 def test_projective_module_dims():
@@ -65,12 +64,35 @@ def test_module_relation_check_catches_errors():
     ({1: -1}, {}, "got -1"),
     ({1: Fraction(1)}, {}, "got Fraction"),
     ({1: "1"}, {}, "got '1'"),
+    ({1: 1, 2: 1}, {"alpha": [[0.5]]}, "got 0.5"),
+    ({1: 1, 2: 1}, {"alpha": [[True]]}, "got True"),
+    ({1: 1, 2: 1}, {"alpha": [["1"]]}, "got '1'"),
 ])
 def test_right_module_refuses_unknown_keys_and_bad_dims(dims, mats, match):
     t = fx.triangle_algebra()
     for check in (True, False):
         with pytest.raises(ValueError, match=match):
             sa.RightModule(t, dims, mats, check_relations=check)
+
+
+def test_right_module_reads_entries_in_the_field():
+    # a stored 101 over F101 was a nonzero entry for the scalar 0, on which
+    # module_iso divided by zero
+    t = fx.triangle_algebra(field=sa.PrimeField(101))
+    ends = {1: 1, 2: 1}
+    zero = sa.RightModule(t, ends, {"alpha": [[101]]})
+    one = sa.RightModule(t, ends, {"alpha": [[-100]]})
+    assert zero.mats["alpha"] == [{}] and one.mats["alpha"] == [{0: 1}]
+    assert sa.module_iso(zero, sa.RightModule(t, ends, {}))[0]
+    assert sa.module_iso(one, sa.uniserial_module(t, "alpha"))[0]
+    assert not sa.module_iso(zero, one)[0]
+
+
+def test_right_module_stores_integral_fractions_as_ints():
+    t = fx.triangle_algebra()
+    m = sa.RightModule(t, {1: 1, 2: 1}, {"alpha": [[Fraction(4, 2)]]})
+    (entry,) = m.mats["alpha"][0].values()
+    assert type(entry) is int and entry == 2
 
 
 def test_right_module_defaults_missing_vertices_and_arrows():
@@ -283,6 +305,14 @@ def four_syzygy_check(table, arrow):
     return report
 
 
+def assert_batch_matches_four_syzygies(table, arrows):
+    """``uniserial_period_checks`` equals ``four_syzygy_check`` arrow by
+    arrow.  Returns the reports."""
+    expect = [four_syzygy_check(table, a) for a in arrows]
+    assert sa.uniserial_period_checks(table, arrows) == expect
+    return expect
+
+
 def relabelled_tetrahedral(a=1):
     """The tetrahedral algebra with renamed vertices and arrows, listed in
     reverse order, so arrows, blocks and basis indices are ordered
@@ -319,8 +349,7 @@ UNISERIAL_TABLES = {
 def test_uniserial_batch_matches_four_syzygies(build):
     t = build()
     arrows = t.quiver.arrows
-    expect = [four_syzygy_check(t, a) for a in arrows]
-    assert sa.uniserial_period_checks(t, arrows) == expect
+    expect = assert_batch_matches_four_syzygies(t, arrows)
     assert [sa.uniserial_period_check(t, a) for a in arrows] == expect
 
 

@@ -25,8 +25,7 @@ from surfalg.linalg import RowSolver, _ckey, pivot_columns
 from surfalg.modules import projective_sum
 
 import fixtures as fx
-from test_closed_form import FIELDS, deformed_triangle
-from test_syzygy import CASES, WORD_CASES, presentation
+from fixtures import CASES, FIELDS, WORD_CASES, deformed_triangle, presentation
 
 
 # -- elimination -------------------------------------------------------------

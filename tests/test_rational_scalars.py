@@ -17,8 +17,7 @@ import surfalg as sa
 from surfalg import cli
 
 import fixtures as fx
-from test_closed_form import least_weights
-from test_syzygy import CASES
+from fixtures import CASES, least_weights
 
 
 class FractionField(sa.RationalField):

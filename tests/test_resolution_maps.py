@@ -17,8 +17,7 @@ from surfalg import modules
 from surfalg.modules import ModuleMap
 
 import fixtures as fx
-from test_closed_form import FIELDS
-from test_syzygy import CASES, presentation
+from fixtures import CASES, FIELDS, presentation
 
 
 def product_map_from_elements(elems, domain, codomain):

@@ -16,8 +16,7 @@ from surfalg import cli, modules
 
 import fixtures as fx
 from test_cli import run_json, write_doc
-from test_closed_form import FIELDS, deformed_triangle
-from test_syzygy import CASES, presentation
+from fixtures import CASES, FIELDS, deformed_triangle, presentation
 
 GENERIC = ("syzygy", "hom_space", "module_iso")
 

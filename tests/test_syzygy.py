@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 from surfalg.algebra import el_scale
-from surfalg.linalg import RowSolver
+from surfalg.linalg import RowSolver, pivot_columns
 from surfalg import modules
 from surfalg.modules import ModuleMap, projective_sum
 
 import fixtures as fx
-from test_closed_form import FIELDS, least_weights, nonzero
+from fixtures import (
+    CASES, FIELDS, WORD_CASES, least_weights, nonzero, presentation)
 
 
 def chain_act_words(module, vec, v):
@@ -37,12 +38,16 @@ def chain_act_words(module, vec, v):
     return out
 
 
+def radical_rows(module, v):
+    """The rows of the arrows into v, which span the radical at v."""
+    q = module.table.quiver
+    return [row for a in q.arrows if q.tgt[a] == v for row in module.mats[a]]
+
+
 def radical_profile(module):
     """Per-vertex radical row spaces, as RowSolver objects."""
-    q = module.table.quiver
-    return {v: RowSolver([row for a in q.arrows if q.tgt[a] == v
-                          for row in module.mats[a]], module.table.field)
-            for v in q.vertices}
+    return {v: RowSolver(radical_rows(module, v), module.table.field)
+            for v in module.table.quiver.vertices}
 
 
 def chain_syzygy(module):
@@ -97,36 +102,6 @@ def chain_syzygy(module):
     return kernel, info
 
 
-def presentation(name, kind, field, rng, raise_by=0):
-    """A fixture quiver's presentation at raised weights, with seeded
-    nonzero parameters and, for ``deformed``, border values in {0, 1}."""
-    q = fx.ALL_QUIVERS[name]()
-    m = {rep: w + raise_by for rep, w in least_weights(name, q).items()}
-    c = {rep: nonzero(field, rng) for rep in m}
-    b = None
-    if kind == "deformed":
-        b = {v: field.of_int(rng.randrange(2)) for v in sa.border(q)[0]}
-    return sa.Presentation(q, kind=kind, field=field, m=m, c=c, b=b)
-
-
-def algebra_cases():
-    """(quiver name, kind) for every fixture quiver, deformed where a border
-    exists."""
-    cases = []
-    for name in sorted(fx.ALL_QUIVERS):
-        cases.append((name, "weighted"))
-        if sa.border(fx.ALL_QUIVERS[name]())[0]:
-            cases.append((name, "deformed"))
-    return cases
-
-
-CASES = algebra_cases()
-# act_words serves every kind: string algebras stop at words of length
-# mn - 2 and have no socle element.
-WORD_CASES = CASES + [(name, kind) for name in sorted(fx.ALL_QUIVERS)
-                      for kind in ("biserial", "string")]
-
-
 def start_modules(table):
     """The simple modules, and the uniserial module of every arrow between
     distinct vertices that satisfies the relations."""
@@ -140,14 +115,33 @@ def start_modules(table):
 
 
 def assert_syzygy_matches_oracle(module, steps):
-    """Both syzygies agree along ``steps`` successive syzygies."""
+    """Both syzygies agree along ``steps`` successive syzygies, and at each
+    step the pivots-only elimination ``pivot_columns`` of every vertex's
+    radical rows picks the pivots of a ``RowSolver`` on them, the
+    generators' complement.  Returns the number of radicals compared."""
+    field, radicals = module.table.field, 0
     for _ in range(steps):
+        for v in module.table.quiver.vertices:
+            rows = radical_rows(module, v)
+            assert pivot_columns(rows, field) == set(
+                RowSolver(rows, field).pivots), ("radical", v)
+            radicals += 1
         kernel, info = sa.syzygy(module)
         expect, expect_info = chain_syzygy(module)
         assert info == expect_info
         assert kernel.dims == expect.dims
         assert kernel.mats == expect.mats
         module = kernel
+    return radicals
+
+
+def assert_start_modules_match_oracle(table, steps=4):
+    """``assert_syzygy_matches_oracle`` from every module of
+    ``start_modules``.  Returns the number of syzygies and of radicals
+    compared."""
+    mods = start_modules(table)
+    radicals = sum(assert_syzygy_matches_oracle(m, steps) for m in mods)
+    return steps * len(mods), radicals
 
 
 def assert_words_match_chain(module, rng):
@@ -204,15 +198,12 @@ def test_act_words_matches_chain_random(data):
 @pytest.mark.parametrize("name,kind", CASES)
 def test_syzygy_matches_chain_oracle(name, kind, field):
     rng = random.Random(f"{name}/{kind}/{field}")
-    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng))
-    for module in start_modules(t):
-        assert_syzygy_matches_oracle(module, 4)
+    assert_start_modules_match_oracle(sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng)))
 
 
 def test_syzygy_matches_chain_oracle_deformed_f2():
-    t = fx.deformed_triangle_f2()
-    for module in start_modules(t):
-        assert_syzygy_matches_oracle(module, 4)
+    assert_start_modules_match_oracle(fx.deformed_triangle_f2())
 
 
 def test_syzygy_reports_a_cover_that_is_not_onto():

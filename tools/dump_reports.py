@@ -29,8 +29,7 @@ import surfalg as sa  # noqa: E402
 from surfalg import cli  # noqa: E402
 
 import fixtures as fx  # noqa: E402
-from test_closed_form import FIELDS, least_weights  # noqa: E402
-from test_syzygy import CASES, presentation  # noqa: E402
+from fixtures import CASES, FIELDS, least_weights, presentation  # noqa: E402
 
 
 def run_cli(argv, text):
