@@ -30,6 +30,15 @@ for.  A syzygy then runs one transform-tracking elimination per vertex,
 on the rows of its cover map: the generators come from a pivots-only
 elimination of the radical, and the kernel's arrow action is read off
 the identity block of the kernel basis, with no solve.
+
+These inner loops are monomial almost everywhere (on the triangle at
+m = 8 over F101 every cover-map row has at most one entry), so they run
+over integer positions: a projective sum gives each summand's basis
+elements their coordinates once, in a dict per summand, and reads every
+right product through it; a step from a vector of one entry copies or
+scales one row without a call; and a one-entry kernel vector's image is
+the cover's row itself.  Every call builds its projectives afresh, and
+none is cached on the table (see :func:`projective_sum`).
 """
 
 import random
@@ -139,16 +148,29 @@ class RightModule:
         least arrow a at v (:meth:`AlgebraTable.chain`): one step past the
         longest word of a, times the socle scalar c_a.  So vec meets one
         arrow matrix per basis element of e_v A, not one per arrow of its
-        word.
+        word.  A step from a vector of one entry is taken inline, by the
+        rule :meth:`act_path` proves, and an empty vector stays empty
+        (a fresh dict each step); only a vector of two or more entries
+        goes through ``act_path``.
         """
         table = self.table
-        g, index = table.gd.g, table.index
+        one, mul = table.field.one, table.field.mul
+        mats, g, index = self.mats, table.gd.g, table.index
         out = {index[("e", v)]: dict(vec)}
         least = table.least_arrow_at(v)
         for a in table.quiver.out_arrows(v):
             cur, arrow = vec, a
             for length in range(1, table.mn[a] - table.top + 1):
-                cur = self.act_path(cur, (arrow,))
+                n = len(cur)
+                if n == 1:
+                    (i, x), = cur.items()
+                    row = mats[arrow][i]
+                    cur = (dict(row) if x == one else
+                           {j: mul(x, c) for j, c in row.items()})
+                elif n:
+                    cur = self.act_path(cur, (arrow,))
+                else:
+                    cur = {}
                 out[index[("w", a, length)]] = cur
                 arrow = g[arrow]
             if a == least and table.kind != "string":
@@ -179,21 +201,45 @@ def projective_sum(table, vertices):
 
     The returned module carries a ``layout`` attribute: for each vertex w,
     the list of (component index, algebra basis index) pairs naming its
-    coordinates, in order.
+    coordinates, in order, and ``layout_pos``, its inverse.  The arrow
+    matrices are the right table, one summand at a time.  One pass per
+    summand j gives each basis element k of e_v A its coordinate at its
+    target (a per-summand dict k -> position), and each row of an arrow a
+    is the right products of its basis element by a, read through the
+    dict of its own summand: no (j, k) pair is formed per entry.  Every
+    call builds fresh rows, which the caller owns.  Projectives are not
+    cached on the table: a module points back to its table, so such a
+    cache is a reference cycle that holds each table, and everything
+    built on it, until a full garbage collection.
     """
     q = table.quiver
+    tgt_of, right = table.tgt_of, table.right
     layout = {w: [] for w in q.vertices}
+    pos = {w: {} for w in q.vertices}
+    coords = []
     for j, v in enumerate(vertices):
+        coord = {}
         for k in table.basis_of(source=v):
-            layout[table.tgt_of[k]].append((j, k))
-    pos = {w: {pk: i for i, pk in enumerate(layout[w])} for w in q.vertices}
+            w = tgt_of[k]
+            col, jk = layout[w], (j, k)
+            coord[k] = pos[w][jk] = len(col)
+            col.append(jk)
+        coords.append(coord)
     dims = {w: len(layout[w]) for w in q.vertices}
     mats = {}
     for a in q.arrows:
-        t = q.tgt[a]
-        mats[a] = [{pos[t][(j, k2)]: c2
-                    for k2, c2 in table.right.get((k, a), ())}
-                   for j, k in layout[q.src[a]]]
+        mat = []
+        for j, k in layout[q.src[a]]:
+            terms = right.get((k, a))
+            if terms is None:
+                mat.append({})
+                continue
+            coord = coords[j]
+            row = {}
+            for k2, c2 in terms:
+                row[coord[k2]] = c2
+            mat.append(row)
+        mats[a] = mat
     mod = RightModule.from_rows(table, dims, mats)
     mod.layout = layout
     mod.layout_pos = pos
@@ -216,12 +262,61 @@ def simple_module(table, v):
 
 
 class ModuleMap:
-    """A homomorphism of right modules, one matrix per vertex (row action)."""
+    """A homomorphism of right modules, one matrix per vertex (row action).
+
+    ``mats`` maps vertices to lists of sparse rows: at a vertex w, one row
+    per coordinate of the domain at w, keyed by coordinates of the
+    codomain at w; a missing vertex maps by zero.  Each entry is read by
+    ``field.coerce`` (so 101 is 0 over F101) and stored without the
+    entries that are zero.  That the matrices commute with the arrow
+    actions is not checked.
+
+    Raises:
+        ValueError: for a vertex the quiver does not have, a row that is
+            not a dict, a wrong number of rows at a vertex, a column that
+            is not an ``int`` coordinate of the codomain, or an entry that
+            ``field.coerce`` refuses (a float among them).
+    """
 
     def __init__(self, domain, codomain, mats):
+        q = domain.table.quiver
+        zero, coerce = domain.table.field.zero, domain.table.field.coerce
+        for w in mats:
+            if w not in q.vertices:
+                raise ValueError(f"unknown vertex {w!r}")
         self.domain = domain
         self.codomain = codomain
-        self.mats = mats
+        self.mats = {}
+        for w in q.vertices:
+            n, m = domain.dims[w], codomain.dims[w]
+            rows = mats.get(w, [{}] * n)
+            if len(rows) != n:
+                raise ValueError(f"map at vertex {w!r} must have {n} rows, "
+                                 f"got {len(rows)}")
+            out = []
+            for row in rows:
+                if not isinstance(row, dict):
+                    raise ValueError(f"rows at vertex {w!r} must be dicts")
+                kept = {}
+                for j, x in row.items():
+                    if type(j) is not int or not 0 <= j < m:
+                        raise ValueError(
+                            f"column {j!r} at vertex {w!r} is not a "
+                            f"coordinate of the codomain (dimension {m})")
+                    x = coerce(x)
+                    if x != zero:
+                        kept[j] = x
+                out.append(kept)
+            self.mats[w] = out
+
+    @classmethod
+    def from_rows(cls, domain, codomain, mats):
+        """A map from per-vertex sparse rows, taken as they are."""
+        hom = cls.__new__(cls)
+        hom.domain = domain
+        hom.codomain = codomain
+        hom.mats = mats
+        return hom
 
     def rank(self):
         return sum(rank_of_rows(self.mats[w], self.domain.table.field)
@@ -232,7 +327,7 @@ class ModuleMap:
         field = self.domain.table.field
         mats = {w: rows_mul(self.mats[w], second.mats[w], field)
                 for w in self.mats}
-        return ModuleMap(self.domain, second.codomain, mats)
+        return ModuleMap.from_rows(self.domain, second.codomain, mats)
 
     def is_zero(self):
         return not any(row for rows in self.mats.values() for row in rows)
@@ -273,7 +368,7 @@ def module_map_from_elements(elems, domain, codomain):
         images.append(codomain.act_words(
             {pos[(l, i)]: cf for l, line in enumerate(elems)
              for i, cf in (line[j] or {}).items()}, v))
-    return ModuleMap(domain, codomain, {
+    return ModuleMap.from_rows(domain, codomain, {
         w: [images[j][k] for j, k in domain.layout[w]]
         for w in domain.table.quiver.vertices})
 
@@ -328,15 +423,28 @@ def syzygy(module):
             for w in q.vertices}
     kdims = {w: len(kbasis[w]) for w in q.vertices}
     kmats = {}
+    one = field.one
     for a in q.arrows:
         basis, pos = kbasis[q.tgt[a]], kpos[q.tgt[a]]
+        arrow_rows = cover.mats[a]
         mat = []
         for row in kbasis[q.src[a]]:
-            y = cover.act_path(row, (a,))
-            x = {pos[i]: c for i, c in y.items() if i in pos}
-            back = {}
-            for p, c in x.items():
-                field.axpy(back, basis[p].items(), c)
+            # A kernel vector of one entry is its identity entry {i: 1}.
+            # Its image is row i of the arrow's matrix, read in place: y
+            # is compared, never stored.
+            y = None
+            if len(row) == 1:
+                (i, c), = row.items()
+                if c == one:
+                    y = arrow_rows[i]
+            if y is None:
+                y = cover.act_path(row, (a,))
+            x, back = {}, {}
+            for i, c in y.items():
+                p = pos.get(i)
+                if p is not None:
+                    x[p] = c
+                    field.axpy(back, basis[p].items(), c)
             if back != y:
                 raise AssertionError("kernel is not arrow-stable")
             mat.append(x)

@@ -333,6 +333,12 @@ def quiver_isomorphisms(q1, q2, fix_vertices=False):
         yield vmap, amap
 
 
+# Built once for is_tetrahedral, which never hands it out; the public
+# tetrahedral_reference() returns a fresh quiver on every call.
+_REFERENCE = tetrahedral_reference()
+_REFERENCE_LABELS = frozenset(str(a) for a in _REFERENCE.arrows)
+
+
 def is_tetrahedral(quiver):
     """Test whether the quiver is the tetrahedral one, with a witness.
 
@@ -342,16 +348,24 @@ def is_tetrahedral(quiver):
         (False, witness) where the witness names a g-orbit of length != 3
         when one exists (the tetrahedral quiver is the unique one whose
         g-orbits all have length 3).
+
+    The isomorphism is the first one that keeps every arrow's ``str``
+    label, or else the first one found.  An isomorphism is a bijection on
+    the arrows, so one that keeps the labels exists only when the quiver's
+    set of ``str`` labels is the reference's; otherwise the search stops
+    at the first isomorphism.
     """
     gd = g_structure(quiver)
     for o in gd.orbits:
         if len(o) != 3:
             return False, {"violating_orbit": list(o), "orbit_length": len(o)}
-    ref = tetrahedral_reference()
+    labelled = {str(a) for a in quiver.arrows} == _REFERENCE_LABELS
     found = None
-    for vmap, amap in quiver_isomorphisms(quiver, ref):
+    for vmap, amap in quiver_isomorphisms(quiver, _REFERENCE):
         if found is None:
             found = (vmap, amap)
+            if not labelled:
+                break
         if all(str(a) == str(r) for a, r in amap.items()):
             found = (vmap, amap)
             break

@@ -117,6 +117,49 @@ def test_module_constructors_refuse_unknown_ids(build, key, match):
         build(fx.triangle_algebra(), key)
 
 
+def test_module_map_reads_entries_in_the_field():
+    # a stored 101 over F101 was a nonzero entry for the scalar 0: the
+    # zero map reported is_zero() False and rank() 1
+    t = fx.triangle_algebra(field=sa.PrimeField(101))
+    s1 = sa.simple_module(t, 1)
+    zero = sa.ModuleMap(s1, s1, {1: [{0: 101}], 2: [], 3: []})
+    assert zero.mats == {1: [{}], 2: [], 3: []}
+    assert zero.is_zero() and zero.rank() == 0
+    one = sa.ModuleMap(s1, s1, {1: [{0: -100}]})
+    assert one.mats == {1: [{0: 1}], 2: [], 3: []}
+    assert not one.is_zero() and one.rank() == 1
+    s1_q = sa.simple_module(fx.triangle_algebra(), 1)
+    two = sa.ModuleMap(s1_q, s1_q, {1: [{0: Fraction(4, 2)}]})
+    (entry,) = two.mats[1][0].values()
+    assert type(entry) is int and entry == 2
+
+
+def test_module_map_from_rows_takes_rows_as_they_are():
+    t = fx.triangle_algebra(field=sa.PrimeField(101))
+    s1 = sa.simple_module(t, 1)
+    mats = {1: [{0: 101}], 2: [], 3: []}
+    hom = sa.ModuleMap.from_rows(s1, s1, mats)
+    assert hom.mats is mats and hom.domain is s1 and hom.codomain is s1
+
+
+@pytest.mark.parametrize("mats,match", [
+    ({1: [{0: 0.5}]}, "got 0.5"),
+    ({1: [{0: True}]}, "got True"),
+    ({9: []}, "unknown vertex 9"),
+    ({1: []}, "must have 1 rows, got 0"),
+    ({1: [{}, {}]}, "must have 1 rows, got 2"),
+    ({2: [{}]}, "must have 0 rows, got 1"),
+    ({1: [{1: 1}]}, "column 1 at vertex 1"),
+    ({1: [{-1: 1}]}, "column -1 at vertex 1"),
+    ({1: [{"0": 1}]}, "column '0' at vertex 1"),
+    ({1: [[1]]}, "must be dicts"),
+])
+def test_module_map_refuses_bad_rows(mats, match):
+    s1 = sa.simple_module(fx.triangle_algebra(), 1)
+    with pytest.raises(ValueError, match=match):
+        sa.ModuleMap(s1, s1, mats)
+
+
 def test_radical_profile_of_projective():
     t = fx.triangle_algebra()
     q = t.quiver

@@ -125,6 +125,48 @@ def test_isomorphism_respects_relabeling():
     assert ok
 
 
+def enumerated_tetrahedral_witness(quiver):
+    """``is_tetrahedral``'s choice by the full enumeration: the first
+    isomorphism onto the reference that keeps every arrow's ``str`` label,
+    or else the first one."""
+    found = None
+    for vmap, amap in sa.quiver_isomorphisms(quiver,
+                                             sa.tetrahedral_reference()):
+        if found is None:
+            found = (vmap, amap)
+        if all(str(a) == str(r) for a, r in amap.items()):
+            found = (vmap, amap)
+            break
+    return {"vertex_map": found[0], "arrow_map": found[1]}
+
+
+def relabelled(q, vertex, arrow):
+    return sa.validate([vertex(v) for v in q.vertices],
+                       [(arrow(a), vertex(q.src[a]), vertex(q.tgt[a]))
+                        for a in q.arrows],
+                       {arrow(a): arrow(q.f[a]) for a in q.arrows})
+
+
+def test_tetrahedral_witness_matches_full_enumeration():
+    ref = sa.tetrahedral_reference()
+    labels = [str(a) for a in ref.arrows]
+    rotated = dict(zip(labels, labels[1:] + labels[:1]))
+    quivers = [
+        ref,
+        relabelled(ref, lambda v: v * 10, str.upper),
+        relabelled(ref, str, lambda a: "x" + a),
+        # the reference labels on other vertices
+        relabelled(ref, lambda v: 7 - v, lambda a: a),
+        # the reference's set of labels, moved to other arrows
+        relabelled(ref, lambda v: v, rotated.get),
+    ]
+    for q in quivers:
+        ok, wit = sa.is_tetrahedral(q)
+        assert ok
+        assert wit == enumerated_tetrahedral_witness(q)
+    assert sa.tetrahedral_reference() is not sa.tetrahedral_reference()
+
+
 def test_non_isomorphic_quivers_have_no_isomorphism():
     assert not list(sa.quiver_isomorphisms(
         fx.sphere_coherent_quiver(), fx.sphere_opposite_quiver()))

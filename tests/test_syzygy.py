@@ -145,6 +145,9 @@ def assert_start_modules_match_oracle(table, steps=4):
 
 
 def assert_words_match_chain(module, rng):
+    """``act_words`` equals ``chain_act_words`` at every vertex, on every
+    coordinate vector and on vectors of two or more entries, so both the
+    inline one-entry step and the ``act_path`` fallback are checked."""
     field = module.table.field
     for v in module.table.quiver.vertices:
         n = module.dims[v]
@@ -152,6 +155,9 @@ def assert_words_match_chain(module, rng):
         if n:
             vecs.append({i: nonzero(field, rng) for i in range(n)
                          if rng.random() < 0.5})
+        if n > 1:
+            vecs.append({0: field.one, n - 1: nonzero(field, rng)})
+            vecs.append({i: nonzero(field, rng) for i in range(n)})
         for vec in vecs:
             assert module.act_words(vec, v) == chain_act_words(module, vec, v)
 
