@@ -18,14 +18,14 @@ t = (s2, u_t, v_t) sends the basis tensor kx (x) ky to the sum of
 kx.u_t (x) v_t.ky, so a rank matrix row is built from the one-sided
 products alone, and a term whose product kx.u_t or v_t.ky is zero adds
 nothing to it.  Each nonzero product is read off the table once per
-generator term and basis element (:func:`side_products`), and a row is
-filled from the pairs of nonzero products only
-(:meth:`BimoduleMap._keyed_rows`).  A codomain
-says how a pair (left part, right part) becomes flat columns: in P_i the
-one column left part + right part, in A (the codomain of d0) the terms
-of the basis product.  The unit rows e_i (x) ky give the rank of d0
-(e_u (x) k -> k, the basis of A) and all of theta: e_v (x) k -> xi_v . k
-is theta's row at k (:func:`map_theta`).
+generator term and basis element (:func:`side_products`), and each row
+is filled in place from the pairs of nonzero products only
+(:meth:`BimoduleMap._keyed_rows`).  A codomain says how a pair (left
+part, right part) becomes flat columns: in P_i the one column left part
++ right part, in A (the codomain of d0) the terms of the basis product.
+The unit rows e_i (x) ky give the rank of d0 (e_u (x) k -> k, the basis
+of A) and all of theta: e_v (x) k -> xi_v . k is theta's row at k
+(:func:`map_theta`).
 
 Each P_i is a projective right A-module, so by Nakayama's lemma a passing
 stage is decided on the top complex X (x)_A A/J, J the radical, which is
@@ -34,11 +34,14 @@ dim(A e_i) . dim(e_j A) basis tensors, its top A e_i (x) e_j (A/J) has
 one, kx (x) e_j, per basis element kx of A e_i, and A (x)_A A/J is A/J,
 one idempotent per vertex.  So the top complex has dimensions n, dim A,
 2 dim A, 2 dim A, dim A, n.  A row of a top map f (x) A/J is the row of
-kx (x) e_j restricted to the columns whose right factor is an idempotent
-(:meth:`BimoduleMap._top_rows`).  Full-size rows are built only for a
-stage that the top complex does not certify; see
+kx (x) e_j restricted to the columns whose right factor is an idempotent.
+The same generator builds both kinds of row, over a right basis that is
+the whole right factor e_j A or, for the top, e_j alone.  Full-size rows
+are built only for a stage that the top complex does not certify; see
 :func:`verify_bimodule_periodicity`.
 """
+
+from itertools import product
 
 from .algebra import dual_basis, el_scale
 from .linalg import rank_of_rows
@@ -52,30 +55,23 @@ class Codomain:
     factor to its right part ``right_parts(s)[k]``.  ``add_tensor(row, lc,
     rc)`` adds to a flat row the sum of a.b (lp (x) rp) over (lp, a) in lc
     and (rp, b) in rc; ``dim`` is the number of flat columns.  Codomains
-    differ only in how one pair of parts becomes columns (``columns``), so
-    the rank rows of every map come from one loop, and so do composites.
-
-    A right part may carry a multiple n.dim: the tensor then lands at its
-    columns plus n.dim, that is in row n of rows stacked one after
-    another.  ``_keyed_rows`` fills all rows of one left factor this way.
+    differ only in how one pair of parts becomes columns, so the rank rows
+    of every map come from one loop, and so do composites: basis elements
+    m1 and m2 of a left and a right factor of summand s make the column
+    ``left_parts(s)[m1] + right_parts(s)[m2]``, or, where ``product`` is
+    set, the terms of ``product(left_parts(s)[m1], right_parts(s)[m2])``.
     """
 
-    def top(self, row):
-        """The part of a row of kx (x) e_j that lies in the top complex.
+    def top(self, rows):
+        """The parts of rows of kx (x) e_j that lie in the top complex.
 
-        A row of :meth:`BimoduleMap._top_rows` is built from the right
-        part of e_j only, and in P (x)_A A/J the tensors k (x) e_j are
-        basis vectors, so a row into a BimoduleSpace is kept whole.
+        A top row of :meth:`BimoduleMap._keyed_rows` is built from the
+        right part of e_j only, and in P (x)_A A/J the tensors k (x) e_j
+        are basis vectors, so rows into a BimoduleSpace are kept whole.
         """
-        return row
+        return rows
 
     product = None
-
-    def columns(self, s):
-        """(lp, rp, product) of summand s: basis elements m1 and m2 of a
-        left and a right factor make the column lp[m1] + rp[m2], or with
-        a product the terms of ``product(lp[m1], rp[m2])``."""
-        return self.left_parts(s), self.right_parts(s), self.product
 
     def flatten(self, terms):
         """Flat coordinates of a list of (summand, left, right) tensors."""
@@ -153,21 +149,20 @@ class AlgebraTarget(Codomain):
 
     right_parts = left_parts
 
-    def top(self, row):
-        """The image of a row in A/J: its idempotent columns."""
+    def top(self, rows):
+        """The images of rows in A/J: their idempotent columns."""
         basis = self.table.basis
-        return {k: c for k, c in row.items() if basis[k][0] == "e"}
+        return [{k: c for k, c in row.items() if basis[k][0] == "e"}
+                for row in rows]
 
     def add_tensor(self, row, lc, rc):
         """row += the sum of a.b.(b_i . b_j) over (i, a) in lc, (j, b) in rc."""
-        field, bp, dim = self.table.field, self.table.basis_product, self.dim
+        field, bp = self.table.field, self.table.basis_product
         for i, a in lc:
-            for jn, b in rc:
-                n, j = divmod(jn, dim)
+            for j, b in rc:
                 prod = bp(i, j)
                 if prod:
-                    field.axpy(row, [(n * dim + m, e) for m, e in prod],
-                               field.mul(a, b))
+                    field.axpy(row, prod, field.mul(a, b))
 
 
 def side_products(table, basis, x, parts, left):
@@ -255,14 +250,16 @@ class BimoduleMap:
         c.b_j multiply to (a c) times ``basis_product(i, j)``, whose terms
         are distinct and nonzero as ``multiply`` gives them; other products
         come from ``multiply``.  Each pair of terms of x.u and v.y adds its
-        product of scalars at its columns (:meth:`Codomain.columns`) at
-        once, in ``flatten``'s order, so every entry is set, summed and
-        popped alike and the dict is the same, order included.  v.y is
-        not formed when x.u = 0.
+        product of scalars at its columns (read off the codomain's
+        ``left_parts``, ``right_parts`` and ``product``, as in
+        :class:`Codomain`) at once, in ``flatten``'s order, so every entry
+        is set, summed and popped alike and the dict is the same, order
+        included.  v.y is not formed when x.u = 0.
         """
         table, cod = self.table, self.codomain
         bp, multiply = table.basis_product, table.multiply
         axpy, p = table.field.axpy, table.field.char
+        prod = cod.product
         out = {}
         get = out.get
         for s, x, y in terms:
@@ -281,7 +278,7 @@ class BimoduleMap:
                     right, sc = bp(j, k), sc * c * b
                 else:
                     right = multiply(v, y).items()
-                lp, rp, prod = cod.columns(s2)
+                lp, rp = cod.left_parts(s2), cod.right_parts(s2)
                 for m1, e1 in left:
                     e1 *= sc
                     at = lp[m1]
@@ -308,15 +305,13 @@ class BimoduleMap:
         their top rows, the images of e_i (x) e_j in the top complex."""
         table = self.table
         units = [[table.index[("e", i)]] for i, _ in self.domain.summands]
-        rows = self._top_rows(units) if top else self._keyed_rows(units)
-        return block_rank(rows, table.field)
+        return block_rank(self._keyed_rows(units, top), table.field)
 
     def rank(self, top=False):
         """Rank of the matrix whose rows are the images of basis tensors.
 
         With ``top``, the rank of the top map f (x) A/J instead, one row
-        per basis element kx (x) e_j of the top of the domain
-        (:meth:`_top_rows`).
+        per basis element kx (x) e_j of the top of the domain.
 
         The unit rows (:meth:`unit_rank`) are some of the rows, so their
         rank bounds the rank from below; the number of columns of the
@@ -339,87 +334,67 @@ class BimoduleMap:
             r = self.unit_rank(top)
             if r == cols:
                 return r
-        rows = self._top_rows if top else self._keyed_rows
-        return block_rank(rows(dom.left), self.table.field)
+        return block_rank(self._keyed_rows(dom.left, top), self.table.field)
 
-    def _keyed_rows(self, lefts):
+    def _keyed_rows(self, lefts, top=False):
         """(block key, row) for the basis tensors kx (x) ky, kx in lefts[s].
 
-        Term t = (s2, u_t, v_t) of generator s sends kx (x) ky to
+        ky runs over a right basis of summand s: its whole right factor
+        ``domain.right[s]``, or with ``top`` its right idempotent e_j
+        alone.  Term t = (s2, u_t, v_t) of generator s sends kx (x) ky to
         kx.u_t (x) v_t.ky, so the row of kx (x) ky is the sum over t of
         kx.u_t (x) v_t.ky, and a term whose left or right product is zero
-        adds nothing to it.  So the nonzero v_t.ky are listed once per
-        term over all ky, the nonzero kx.u_t once per term over all kx
-        (:func:`side_products`), and only pairs of them are added.
+        adds nothing to it.  So per term the nonzero v_t.ky are listed over
+        all ky and the nonzero kx.u_t over all kx (:func:`side_products`),
+        and each pair of them is added to its own row, kept in one flat
+        list per summand, by one ``codomain.add_tensor``.  The terms are
+        taken in order, so each row is the same sum, in the same order, as
+        term by term, and the work follows the nonzero products, not rows
+        times terms.  Every (kx, ky) gives a row, empty or not, keyed
+        (s(kx), t(ky)) as in :func:`block_rank`.  No kx has every kx.u_t
+        zero: each generator image built here (d0, d, R, S and theta's
+        Casimir map) has a term whose left factor is a nonzero multiple of
+        the summand's left idempotent e_i, and kx.e_i = kx.
 
-        The rows of one kx are filled together, one ``add_tensor`` per
-        nonzero kx.u_t, in a stack: the right parts of the row of the p-th
-        ky are shifted by p * ``codomain.dim``, and every column is below
-        ``codomain.dim``, so the rows cannot mix.  The terms are added in
-        order, so each row comes out as a sum in the same order as term by
-        term.  The work follows the nonzero products, not rows times
-        terms.  Every ky gives a row, empty or not, for each kx with some
-        kx.u_t nonzero.
+        The top map sends kx (x) e_j to the sum over t of top(v_t) .
+        (kx.u_t (x) e_j), top(v) the coefficient of e_j in v: the radical
+        terms of v_t lie in P J.  So with ``top`` the one right product of
+        term t is c.e_j, c the coefficient of e_j in v_t, and term t adds
+        nothing when v_t has no e_j term; the row has only columns whose
+        right factor is an idempotent, and its key is (s(kx), j).  Into A
+        the rows are then cut to their idempotent columns
+        (:meth:`Codomain.top`).
         """
         table, cod = self.table, self.codomain
         src_of, tgt_of = table.src_of, table.tgt_of
-        add, dim = cod.add_tensor, cod.dim
+        add = cod.add_tensor
         for s, terms in enumerate(self.gen_images):
-            right = self.domain.right[s]
-            rights = []
-            per_left = [[] for _ in lefts[s]]
-            for t, (s2, u, v) in enumerate(terms):
-                rights.append([
-                    (p * dim + b, d)
-                    for p, rc in side_products(table, right, v,
-                                               cod.right_parts(s2), False)
-                    for b, d in rc])
-                for p, lc in side_products(table, lefts[s], u,
-                                           cod.left_parts(s2), True):
-                    per_left[p].append((t, lc))
-            for kx, lcs in zip(lefts[s], per_left):
-                if not lcs:
-                    continue
-                stack = {}
-                for t, lc in lcs:
-                    add(stack, lc, rights[t])
-                rows = [{} for _ in right]
-                for col, c in stack.items():
-                    rows[col // dim][col % dim] = c
-                src = src_of[kx]
-                for ky, row in zip(right, rows):
-                    yield (src, tgt_of[ky]), row
-
-    def _top_rows(self, lefts):
-        """(block key, row) of the top map at kx (x) e_j, kx in lefts[s].
-
-        e_j is the right idempotent of summand s, the one basis vector of
-        its right factor e_j A mod J.  Term t = (s2, u_t, v_t) sends
-        kx (x) e_j to kx.u_t (x) v_t, whose top is top(v_t) . (kx.u_t (x)
-        e_j), top(v) the coefficient of e_j in v: the radical terms of v_t
-        lie in P J.  So the row is that of kx (x) e_j in
-        :meth:`_keyed_rows` restricted to the columns whose right factor
-        is an idempotent, and only the terms with top(v_t) nonzero are
-        formed.  Into A the row is then cut to its idempotent columns
-        (:meth:`Codomain.top`).  Rows are keyed (s(kx), j) as in
-        :func:`block_rank`.
-        """
-        table, cod = self.table, self.codomain
-        add, src_of = cod.add_tensor, table.src_of
-        for s, terms in enumerate(self.gen_images):
-            j = self.domain.summands[s][1]
-            e = table.index[("e", j)]
-            rows = [{} for _ in lefts[s]]
+            left = lefts[s]
+            if top:
+                e = table.index[("e", self.domain.summands[s][1])]
+                right = [e]
+            else:
+                right = self.domain.right[s]
+            n = len(right)
+            rows = [{} for _ in range(len(left) * n)]
             for s2, u, v in terms:
-                c = v.get(e)
-                if c is None:
-                    continue
-                rc = [(cod.right_parts(s2)[e], c)]
-                for p, lc in side_products(table, lefts[s], u,
-                                           cod.left_parts(s2), True):
-                    add(rows[p], lc, rc)
-            for kx, row in zip(lefts[s], rows):
-                yield (src_of[kx], j), cod.top(row)
+                if top:
+                    c = v.get(e)
+                    if c is None:
+                        continue
+                    rcs = [(0, [(cod.right_parts(s2)[e], c)])]
+                else:
+                    rcs = side_products(table, right, v, cod.right_parts(s2),
+                                        False)
+                    if not rcs:
+                        continue
+                lcs = side_products(table, left, u, cod.left_parts(s2), True)
+                for q, rc in rcs:
+                    for p, lc in lcs:
+                        add(rows[p * n + q], lc, rc)
+            keys = product([src_of[kx] for kx in left],
+                           [tgt_of[ky] for ky in right])
+            yield from zip(keys, cod.top(rows) if top else rows)
 
 
 def _summands(q):
@@ -621,7 +596,8 @@ def verify_bimodule_periodicity(table):
     * Xbar.  P (x)_A A/J has basis kx (x) e_j, kx in the left factor
       A e_i of a summand and e_j its right idempotent, and f (x) A/J
       sends kx (x) e_j to the sum over terms t of top(v_t) . (kx.u_t (x)
-      e_j); into A it is top(kx.u_t.v_t) (:meth:`BimoduleMap._top_rows`).
+      e_j); into A it is top(kx.u_t.v_t) (:meth:`BimoduleMap._keyed_rows`
+      with ``top``).
       theta (x) A/J sends e_v to the sum of top(b*) . (b (x) e_v).
     * Lemma.  X is a bounded complex of finitely generated projective
       right A-modules, and its composites d0 d, d R, R S and S theta are

@@ -180,19 +180,30 @@ def get_surface(doc):
         raise InputError(str(exc)) from None
 
 
+def _checked_quiver(build, *args):
+    """``build(*args)``, a validated quiver, with its refusal as an
+    InputError: the axioms it violates, or the structural fault."""
+    try:
+        return build(*args)
+    except qv.QuiverValidationError as exc:
+        raise InputError(
+            "quiver violates the triangulation axioms: "
+            + "; ".join(exc.diagnostics)) from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def get_quiver(doc):
-    """The document's quiver (derived from the surface when needed)."""
+    """The document's quiver (derived from the surface when needed).
+
+    A surface that passes :func:`surfalg.surface.validate_surface` can
+    still give a quiver that breaks the axioms (a disconnected one, or
+    one with fewer than three vertices); that is refused like a quiver
+    document that breaks them.
+    """
     if doc.get("raw_quiver") is not None:
-        vertices, arrows, f = doc["raw_quiver"]
-        try:
-            return qv.validate(vertices, arrows, f)
-        except qv.QuiverValidationError as exc:
-            raise InputError(
-                "quiver violates the triangulation axioms: "
-                + "; ".join(exc.diagnostics)) from None
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    return surf.quiver_from_surface(get_surface(doc))
+        return _checked_quiver(qv.validate, *doc["raw_quiver"])
+    return _checked_quiver(surf.quiver_from_surface, get_surface(doc))
 
 
 def get_presentation(doc, quiver):
@@ -258,13 +269,11 @@ def cmd_validate(doc, args):
         surface = surf.validate_surface(edges, triangles, boundary)
     except ValueError as exc:
         return {"valid": False, "diagnostics": [str(exc)]}, False
-    quiver = surf.quiver_from_surface(surface)
-    diagnostics = qv.diagnose(
-        list(quiver.vertices),
-        [(a, quiver.src[a], quiver.tgt[a]) for a in quiver.arrows],
-        quiver.f)
-    return {"valid": not diagnostics, "diagnostics": diagnostics}, \
-        not diagnostics
+    try:
+        surf.quiver_from_surface(surface)
+    except qv.QuiverValidationError as exc:
+        return {"valid": False, "diagnostics": exc.diagnostics}, False
+    return {"valid": True, "diagnostics": []}, True
 
 
 def cmd_orbits(doc, args):
@@ -303,8 +312,8 @@ def cmd_tetrahedral(doc, args):
 
 
 def cmd_from_surface(doc, args):
-    surface = get_surface(doc)
-    return {"quiver": surf.quiver_from_surface(surface).to_json()}, True
+    quiver = _checked_quiver(surf.quiver_from_surface, get_surface(doc))
+    return {"quiver": quiver.to_json()}, True
 
 
 def cmd_to_surface(doc, args):

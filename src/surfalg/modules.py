@@ -34,11 +34,12 @@ the identity block of the kernel basis, with no solve.
 These inner loops are monomial almost everywhere (on the triangle at
 m = 8 over F101 every cover-map row has at most one entry), so they run
 over integer positions: a projective sum gives each summand's basis
-elements their coordinates once, in a dict per summand, and reads every
-right product through it; a step from a vector of one entry copies or
-scales one row without a call; and a one-entry kernel vector's image is
-the cover's row itself.  Every call builds its projectives afresh, and
-none is cached on the table (see :func:`projective_sum`).
+elements their coordinates once, in a dict per summand (``coords``), and
+reads every right product through it; an arrow step from a vector of one
+entry copies or scales one row (:func:`_arrow_step`); and a one-entry
+kernel vector's image is the cover's row itself.  Every call builds its
+projectives afresh, and none is cached on the table (see
+:func:`projective_sum`).
 """
 
 import random
@@ -113,28 +114,11 @@ class RightModule:
         return sum(self.dims.values())
 
     def act_path(self, vec, arrows):
-        """Apply a path of arrows to a sparse vector at the path's source.
-
-        A vector of one entry {i: x} maps under an arrow to row i of the
-        arrow's matrix, copied when x is one and scaled by x otherwise.
-        That is the sum the general step builds with ``field.axpy``: each
-        entry is x times the row's entry, and none cancels, since both
-        factors are nonzero (no sparse vector or row stores a zero).  In
-        the simple-module checks six to seven arrow steps in ten start
-        from a vector of one entry.
-        """
-        field = self.table.field
+        """Apply a path of arrows to a sparse vector at the path's source,
+        one :func:`_arrow_step` per arrow."""
+        field, mats = self.table.field, self.mats
         for a in arrows:
-            mat = self.mats[a]
-            if len(vec) == 1:
-                (i, x), = vec.items()
-                vec = (dict(mat[i]) if x == field.one else
-                       {j: field.mul(x, c) for j, c in mat[i].items()})
-                continue
-            out = {}
-            for i, x in vec.items():
-                field.axpy(out, mat[i].items(), x)
-            vec = out
+            vec = _arrow_step(vec, mats[a], field)
         return vec
 
     def act_words(self, vec, v):
@@ -148,34 +132,23 @@ class RightModule:
         least arrow a at v (:meth:`AlgebraTable.chain`): one step past the
         longest word of a, times the socle scalar c_a.  So vec meets one
         arrow matrix per basis element of e_v A, not one per arrow of its
-        word.  A step from a vector of one entry is taken inline, by the
-        rule :meth:`act_path` proves, and an empty vector stays empty
-        (a fresh dict each step); only a vector of two or more entries
-        goes through ``act_path``.
+        word.  Each step is one :func:`_arrow_step`, which gives every
+        product a fresh dict.
         """
         table = self.table
-        one, mul = table.field.one, table.field.mul
+        field = table.field
         mats, g, index = self.mats, table.gd.g, table.index
         out = {index[("e", v)]: dict(vec)}
         least = table.least_arrow_at(v)
         for a in table.quiver.out_arrows(v):
             cur, arrow = vec, a
             for length in range(1, table.mn[a] - table.top + 1):
-                n = len(cur)
-                if n == 1:
-                    (i, x), = cur.items()
-                    row = mats[arrow][i]
-                    cur = (dict(row) if x == one else
-                           {j: mul(x, c) for j, c in row.items()})
-                elif n:
-                    cur = self.act_path(cur, (arrow,))
-                else:
-                    cur = {}
+                cur = _arrow_step(cur, mats[arrow], field)
                 out[index[("w", a, length)]] = cur
                 arrow = g[arrow]
             if a == least and table.kind != "string":
                 out[index[("s", v)]] = el_scale(
-                    table.field, table.c[a], self.act_path(cur, (arrow,)))
+                    field, table.c[a], _arrow_step(cur, mats[arrow], field))
         return out
 
     def violated_relations(self):
@@ -196,17 +169,40 @@ class RightModule:
         return bad
 
 
+def _arrow_step(vec, mat, field):
+    """The sparse vector vec . M, for M the rows of an arrow matrix.
+
+    A vector of one entry {i: x} maps to row i of M, copied when x is one
+    and scaled by x otherwise.  That is the sum the general step builds
+    with ``field.axpy``: each entry is x times the row's entry, and none
+    cancels, since both factors are nonzero (no sparse vector or row
+    stores a zero).  In the simple-module checks six to seven arrow steps
+    in ten start from a vector of one entry.  The result is always a
+    fresh dict, an empty one for an empty vector.
+    """
+    if len(vec) == 1:
+        (i, x), = vec.items()
+        row = mat[i]
+        return (dict(row) if x == field.one else
+                {j: field.mul(x, c) for j, c in row.items()})
+    out = {}
+    for i, x in vec.items():
+        field.axpy(out, mat[i].items(), x)
+    return out
+
+
 def projective_sum(table, vertices):
     """The projective module P = (+) e_v A over the listed vertices.
 
     The returned module carries a ``layout`` attribute: for each vertex w,
     the list of (component index, algebra basis index) pairs naming its
-    coordinates, in order, and ``layout_pos``, its inverse.  The arrow
-    matrices are the right table, one summand at a time.  One pass per
-    summand j gives each basis element k of e_v A its coordinate at its
-    target (a per-summand dict k -> position), and each row of an arrow a
-    is the right products of its basis element by a, read through the
-    dict of its own summand: no (j, k) pair is formed per entry.  Every
+    coordinates, in order, and ``coords``, its inverse: ``coords[j][k]``
+    is the position of the basis element k of summand j among the
+    coordinates at the target of k.  The arrow matrices are the right
+    table, one summand at a time.  One pass per summand j fills
+    ``coords[j]`` and ``layout``, and each row of an arrow a is the right
+    products of its basis element by a, read through the coordinates of
+    its own summand: no (j, k) pair is formed per entry.  Every
     call builds fresh rows, which the caller owns.  Projectives are not
     cached on the table: a module points back to its table, so such a
     cache is a reference cycle that holds each table, and everything
@@ -215,15 +211,13 @@ def projective_sum(table, vertices):
     q = table.quiver
     tgt_of, right = table.tgt_of, table.right
     layout = {w: [] for w in q.vertices}
-    pos = {w: {} for w in q.vertices}
     coords = []
     for j, v in enumerate(vertices):
         coord = {}
         for k in table.basis_of(source=v):
-            w = tgt_of[k]
-            col, jk = layout[w], (j, k)
-            coord[k] = pos[w][jk] = len(col)
-            col.append(jk)
+            col = layout[tgt_of[k]]
+            coord[k] = len(col)
+            col.append((j, k))
         coords.append(coord)
     dims = {w: len(layout[w]) for w in q.vertices}
     mats = {}
@@ -242,7 +236,7 @@ def projective_sum(table, vertices):
         mats[a] = mat
     mod = RightModule.from_rows(table, dims, mats)
     mod.layout = layout
-    mod.layout_pos = pos
+    mod.coords = coords
     mod.components = tuple(vertices)
     return mod
 
@@ -362,11 +356,11 @@ def module_map_from_elements(elems, domain, codomain):
     (the walk is the oracle of the closed-form products
     :meth:`AlgebraTable.basis_product`).
     """
+    coords = codomain.coords
     images = []
     for j, v in enumerate(domain.components):
-        pos = codomain.layout_pos[v]
         images.append(codomain.act_words(
-            {pos[(l, i)]: cf for l, line in enumerate(elems)
+            {coords[l][i]: cf for l, line in enumerate(elems)
              for i, cf in (line[j] or {}).items()}, v))
     return ModuleMap.from_rows(domain, codomain, {
         w: [images[j][k] for j, k in domain.layout[w]]
@@ -590,7 +584,7 @@ def _in_radical(projective, rows):
     a projective sum, avoid its generator coordinates (j, e_w), w the
     vertex of summand j: then they lie in the radical of the sum."""
     index = projective.table.index
-    return not any(projective.layout_pos[w][(j, index[("e", w)])] in row
+    return not any(projective.coords[j][index[("e", w)]] in row
                    for j, w in enumerate(projective.components)
                    for row in rows[w])
 
@@ -715,7 +709,7 @@ def _simple_resolution(table, v):
     # The socle s_v of P_v is the single coordinate (0, s_v) at vertex v,
     # looked up as e_v is for pi1 above: pi3 kills s_v exactly when its
     # row of pi3 is empty.
-    s_pos = p_v.layout_pos[v][(0, table.index[("s", v)])]
+    s_pos = p_v.coords[0][table.index[("s", v)]]
     soc_killed = not pi3.mats[v][s_pos]
     stages.append({
         "name": "kernel_pi3_is_socle",

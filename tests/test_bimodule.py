@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 import surfalg.bimodule as bim
-from surfalg.algebra import AlgebraTable
+from surfalg.algebra import AlgebraTable, el_scale
 from surfalg.bimodule import (
     AlgebraTarget,
     BimoduleMap,
@@ -39,6 +39,9 @@ TETRA_DIMS = {"algebra": 36, "P0": 216, "P1": 432, "P2": 432, "P3": 216}
 SINGULAR_TETRA_RANKS = {"d0": 36, "d": 180, "R": 216}
 NONSINGULAR_TETRA_RANKS = {"d0": 36, "d": 180, "R": 252, "S": 180,
                            "theta": 36}
+
+# the row generator as defined, for wrappers that patch it
+KEYED_ROWS = BimoduleMap._keyed_rows
 
 
 def test_bimodule_dims_formulas():
@@ -169,14 +172,14 @@ def test_d0_top_rank_from_unit_rows():
     n = len(t.quiver.vertices)
     p0 = bimodule_spaces(t)[0]
     built = []
-    top_rows = BimoduleMap._top_rows
 
-    def counted(bmap, lefts):
-        rows = list(top_rows(bmap, lefts))
-        built.extend(rows)
+    def counted(bmap, lefts, top=False):
+        rows = list(KEYED_ROWS(bmap, lefts, top))
+        if top:
+            built.extend(rows)
         return rows
 
-    with mock.patch.object(BimoduleMap, "_top_rows", counted):
+    with mock.patch.object(BimoduleMap, "_keyed_rows", counted):
         assert map_d0(t, p0).rank(top=True) == n
     assert len(built) == n
 
@@ -247,8 +250,9 @@ def test_theta_rank_matches_per_element_rows(build):
 # -- rows from the nonzero one-sided products ----------------------------
 
 
-def oracle_keyed_rows(bmap, lefts):
-    """The rows of ``BimoduleMap._keyed_rows``, built term by term.
+def oracle_keyed_rows(bmap, lefts, rights=None):
+    """The rows of ``BimoduleMap._keyed_rows``, built term by term, for
+    ky in ``rights[s]`` (default: the whole right factor of summand s).
 
     Every one-sided product kx.u and v.ky is a ``table.multiply`` call,
     each row loops over every generator term, and a tensor is added as
@@ -274,11 +278,9 @@ def oracle_keyed_rows(bmap, lefts):
                        c)
 
     for s, terms in enumerate(bmap.gen_images):
-        right = bmap.domain.right[s]
+        right = rights[s] if rights else bmap.domain.right[s]
         for kx in lefts[s]:
             xus = [mul({kx: one}, u) for _, u, _ in terms]
-            if not any(xus):
-                continue
             for ky in right:
                 row = {}
                 for (s2, _, v), xu in zip(terms, xus):
@@ -381,6 +383,54 @@ def test_rows_match_multiply_oracle_deformed_f2(raise_by):
     rng = random.Random(f"deformed/F2/{raise_by}")
     assert_rows_match_oracle(sa.build_algebra(
         deformed_triangle(sa.PrimeField(2), rng, True, raise_by)))
+
+
+def oracle_top_rows(bmap, lefts):
+    """The top rows as full-size rows cut to the top: the row of
+    kx (x) e_j from ``oracle_keyed_rows``, restricted to the columns whose
+    right factor is an idempotent (into A: to its idempotent columns)."""
+    table, cod = bmap.table, bmap.codomain
+    index = table.index
+    if isinstance(cod, AlgebraTarget):
+        keep = {k for k, b in enumerate(table.basis) if b[0] == "e"}
+    else:
+        keep = {cod.left_part[s2][k] + cod.right_pos[s2][index[("e", j)]]
+                for s2, (_, j) in enumerate(cod.summands)
+                for k in cod.left[s2]}
+    tops = [[index[("e", j)]] for _, j in bmap.domain.summands]
+    for key, row in oracle_keyed_rows(bmap, lefts, tops):
+        yield key, {c: x for c, x in row.items() if c in keep}
+
+
+@pytest.mark.parametrize("raise_by", (0, 1))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_top_rows_are_full_rows_cut_to_the_top(name, kind, field, raise_by):
+    rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
+    table = sa.build_algebra(
+        presentation(name, kind, FIELDS[field], rng, raise_by))
+    for case, bmap, lefts in row_cases(table):
+        got = list(bmap._keyed_rows(lefts, top=True))
+        assert got == list(oracle_top_rows(bmap, lefts)), case
+        assert len(got) == sum(map(len, lefts)), case
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_top_rows_keep_the_coefficient_of_e_j(field):
+    # every right factor of the complex's generator images has e_j
+    # coefficient 1 or none; scaled by 3 they must give rows scaled alike
+    t = fx.triangle_algebra(m=2, field=FIELDS[field])
+    p0, p1, _, _ = bimodule_spaces(t)
+    three = t.field.of_int(3)
+    for bmap in (map_d0(t, p0), map_d(t, p0, p1)):
+        scaled = BimoduleMap(bmap.domain, bmap.codomain, [
+            [(s2, u, el_scale(t.field, three, v)) for s2, u, v in terms]
+            for terms in bmap.gen_images])
+        lefts = bmap.domain.left
+        assert list(scaled._keyed_rows(lefts, top=True)) == \
+            list(oracle_top_rows(scaled, lefts))
+        assert list(scaled._keyed_rows(lefts)) == \
+            list(oracle_keyed_rows(scaled, lefts))
 
 
 @pytest.mark.parametrize("field", [sa.QQ, sa.PrimeField(101)])
@@ -489,16 +539,17 @@ def test_casimir_socle_pairing_nonzero():
 # -- the top-complex certificate -----------------------------------------
 
 
-def no_top_rows(bmap, lefts):
-    """Top rows that certify nothing: every top rank is 0."""
-    return iter(())
+def no_top_rows(bmap, lefts, top=False):
+    """Top rows that certify nothing, so every top rank is 0; full-size
+    rows as ``BimoduleMap._keyed_rows`` builds them."""
+    return iter(()) if top else KEYED_ROWS(bmap, lefts)
 
 
 def exact_report(table):
     """The report with the top certificate off: every rank from full-size
     rows.  Every top rank the certificate expects is positive (n, or
     dim Pbar - rank of the previous top map), so each stage falls back."""
-    with mock.patch.object(BimoduleMap, "_top_rows", no_top_rows):
+    with mock.patch.object(BimoduleMap, "_keyed_rows", no_top_rows):
         return verify_bimodule_periodicity(table)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfalg.algebra import KINDS
-from surfalg.cli import build_parser, main
+from surfalg.cli import COMMANDS, build_parser, main
 
 import fixtures as fx
 
@@ -533,3 +533,77 @@ def test_validate_reports_boundary_edges_printing_alike():
     assert (code, err) == (1, "")
     assert json.loads(out)["result"] == {"valid": False,
                                          "diagnostics": [ALIKE_ERROR]}
+
+
+# Surfaces that pass the schema and the slot count but whose quiver breaks
+# the triangulation axioms: each must be refused, never end in a traceback.
+AXIOM_BREAKING_SURFACES = {
+    "disconnected": ({"surface": {
+        "edges": [1, 2, 3, 4, 5, 6],
+        "triangles": [{"edges": [1, 2, 3]}, {"edges": [1, 2, 3]},
+                      {"edges": [4, 5, 6]}, {"edges": [4, 5, 6]}]}},
+        "underlying graph is not connected"),
+    "two-vertices": ({"surface": {
+        "edges": [1, 2], "triangles": [{"edges": [1, 1, 2]}],
+        "boundary": [2]}}, "quiver has 2 vertices, need at least 3"),
+}
+ALL_COMMANDS = {
+    name: [name, "-"] + {"resolve-simple": ["--vertex", "1"],
+                         "walks": ["--arrow", "t0_0"]}.get(name, [])
+    for name in list(COMMANDS) + ["dot"]}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_BREAKING_SURFACES))
+def test_surface_breaking_the_axioms_is_refused(name):
+    doc, diagnostic = AXIOM_BREAKING_SURFACES[name]
+    text = json.dumps(doc)
+    assert len(ALL_COMMANDS) == 18
+    for command, argv in sorted(ALL_COMMANDS.items()):
+        code, out, err = call_stdin(argv, text)
+        if command == "validate":
+            assert (code, err) == (1, "")
+            assert json.loads(out)["result"] == {
+                "valid": False, "diagnostics": [diagnostic]}
+        else:
+            assert (code, out, err) == (
+                2, "", "error: quiver violates the triangulation axioms: "
+                f"{diagnostic}\n"), command
+
+
+@st.composite
+def surface_documents(draw):
+    """A surface document of 1 to 5 edges: the two slots of every edge are
+    dealt at random into triangles, three at a time, and the boundary, and
+    a self-folded triangle is rotated to (a, a, b).  The slot count always
+    holds.  Draws with more triangles come first, and shrink toward them,
+    since the more boundary slots, the likelier an edge is dealt to the
+    boundary twice, which ``validate_surface`` refuses.  Disconnected
+    quivers and quivers of fewer than three vertices are drawn too."""
+    edges = list(range(1, draw(st.integers(1, 5)) + 1))
+    slots = draw(st.permutations(edges * 2))
+    # few boundary slots first: two of them may be one edge's
+    n = len(slots) - len(slots) % 3 - 3 * draw(st.integers(0, len(slots) // 3))
+    triangles = []
+    for i in range(0, n, 3):
+        t = slots[i:i + 3]
+        while len(set(t)) == 2 and t[0] != t[1]:
+            t = t[1:] + t[:1]
+        triangles.append({"edges": t})
+    return {"surface": {"edges": edges, "triangles": triangles,
+                        "boundary": slots[n:]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=surface_documents())
+def test_generated_surface_exits_0_1_or_2(doc):
+    text = json.dumps(doc)
+    for command in ("validate", "dims", "from-surface", "orbits", "dot"):
+        code, out, err = call_stdin([command, "-"], text)
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and err.endswith("\n"), command
+        elif command == "dot":
+            assert (code, err) == (0, "") and out.startswith("digraph")
+        else:
+            assert err == "" and json.loads(out)["ok"] == (code == 0)

@@ -514,8 +514,7 @@ def element_vector(module, component, elem):
     """Sparse per-vertex coordinates of an algebra element in one summand."""
     out = {w: {} for w in module.dims}
     for k, cf in elem.items():
-        w = module.table.tgt_of[k]
-        out[w][module.layout_pos[w][(component, k)]] = cf
+        out[module.table.tgt_of[k]][module.coords[component][k]] = cf
     return out
 
 

@@ -1,12 +1,12 @@
 """``projective_sum`` against the tuple-keyed build it replaced.
 
 ``projective_sum`` gives each summand's basis elements their coordinates
-in one dict per summand and reads every right product through it.  The
-oracle builds the module as it once was: ``layout_pos`` inverted from
-``layout``, and each row of an arrow through ``layout_pos``, with one
-(summand, basis index) pair per entry.  ``dims``, ``layout``,
-``layout_pos``, ``components`` and every row of every arrow must be
-equal, in their order too.
+in one dict per summand, ``coords``, and reads every right product
+through it.  The oracle builds the module as it once was: a position per
+(summand, basis index) pair inverted from ``layout``, and each row of an
+arrow through it, with one such pair per entry.  ``dims``, ``layout``,
+``coords``, ``components`` and every row of every arrow must be equal,
+in their order too.
 """
 
 import random
@@ -20,8 +20,9 @@ from fixtures import FIELDS, WORD_CASES, presentation
 
 
 def tuple_keyed_projective_sum(table, vertices):
-    """(dims, mats, layout, layout_pos) of the projective sum, each row
-    keyed through ``layout_pos``."""
+    """(dims, mats, layout, coords) of the projective sum, each row keyed
+    through the (summand, basis index) positions inverted from
+    ``layout``, and ``coords[j]`` read off them in basis order."""
     q = table.quiver
     layout = {w: [] for w in q.vertices}
     for j, v in enumerate(vertices):
@@ -35,7 +36,10 @@ def tuple_keyed_projective_sum(table, vertices):
         mats[a] = [{pos[t][(j, k2)]: c2
                     for k2, c2 in table.right.get((k, a), ())}
                    for j, k in layout[q.src[a]]]
-    return dims, mats, layout, pos
+    coords = [{k: pos[table.tgt_of[k]][(j, k)]
+               for k in table.basis_of(source=v)}
+              for j, v in enumerate(vertices)]
+    return dims, mats, layout, coords
 
 
 def ordered(mapping):
@@ -55,10 +59,11 @@ def test_projective_sum_matches_tuple_keyed_build(name, kind, field,
     vs = t.quiver.vertices
     for vertices in ([vs[0]], [vs[0], vs[1]], [vs[1], vs[1]], list(vs), []):
         p = projective_sum(t, vertices)
-        dims, mats, layout, pos = tuple_keyed_projective_sum(t, vertices)
+        dims, mats, layout, coords = tuple_keyed_projective_sum(t, vertices)
         assert list(p.dims.items()) == list(dims.items())
         assert list(p.layout.items()) == list(layout.items())
-        assert ordered(p.layout_pos) == ordered(pos)
+        assert [list(c.items()) for c in p.coords] == \
+            [list(c.items()) for c in coords]
         assert p.components == tuple(vertices)
         assert ordered(p.mats) == ordered(mats)
 

@@ -26,14 +26,14 @@ def product_map_from_elements(elems, domain, codomain):
     table = domain.table
     field = table.field
     mats = {}
+    coords = codomain.coords
     for w in table.quiver.vertices:
-        pos = codomain.layout_pos[w]
         mat = []
         for j, k in domain.layout[w]:
             row = {}
             for l, line in enumerate(elems):
                 for i, cf in (line[j] or {}).items():
-                    field.axpy(row, ((pos[(l, k2)], c2)
+                    field.axpy(row, ((coords[l][k2], c2)
                                      for k2, c2 in table.basis_product(i, k)),
                                cf)
             mat.append(row)

@@ -66,7 +66,7 @@ def put_generator_entry(table, pi):
     """Give pi's first row at the vertex of its codomain's first summand an
     entry at that summand's generator coordinate."""
     w = pi.codomain.components[0]
-    pi.mats[w][0][pi.codomain.layout_pos[w][(0, table.index[("e", w)])]] = (
+    pi.mats[w][0][pi.codomain.coords[0][table.index[("e", w)]]] = (
         table.field.one)
 
 

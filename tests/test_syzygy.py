@@ -78,7 +78,7 @@ def chain_syzygy(module):
     gen_coord = {}
     for j, (v, _) in enumerate(gens):
         gen_coord.setdefault(v, []).append(
-            cover.layout_pos[v][(j, table.index[("e", v)])])
+            cover.coords[j][table.index[("e", v)]])
     minimal = not any(p in row for w in q.vertices for row in kbasis[w]
                       for p in gen_coord.get(w, ()))
     solvers = {w: RowSolver(kbasis[w], field) for w in q.vertices}
@@ -264,7 +264,7 @@ def test_syzygy_rejects_a_kernel_that_is_not_arrow_stable(monkeypatch):
     def corrupted(table, vertices):
         p = real(table, vertices)
         a = next(a for a in q.arrows if q.tgt[a] == vertices[0])
-        e = {w: p.layout_pos[w].get((0, table.index[("e", w)]))
+        e = {w: p.coords[0].get(table.index[("e", w)])
              for w in (q.src[a], q.tgt[a])}
         row = next(i for i in range(p.dims[q.src[a]]) if i != e[q.src[a]])
         p.mats[a][row] = {e[q.tgt[a]]: table.field.one}
