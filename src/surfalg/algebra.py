@@ -20,29 +20,23 @@ algebra, e_s(a) for l = 0, the basis word w(a, l) for 1 <= l <= m n - top
 except for ``string``, and 0 at every other length.  The relations give it:
 a g-word extends along g by the right table until it tops out, the full
 cycle B_a of length m n is c_a^{-1} times the socle element, and no arrow
-extends the socle.  ``AlgebraTable.word_element`` is this
-rule.  Every product of algebra elements and every g-word path in the
-library is read off it, off ``AlgebraTable.basis_product``, which uses
-it, or off the table of right products by one arrow.  That table defines
-the algebra and gives the modules their arrow actions: a projective
-module's arrow matrices are its rows, so the maps of the simple
-resolutions, left multiplications between projectives, are walked
-through them one arrow at a time (:mod:`surfalg.modules`) and ask for no
-``basis_product``.
+extends the socle.  ``AlgebraTable.word_element`` is this rule.
 
-Elements are stored in the monomial basis: one idempotent per vertex, the
-g-words of each admissible length, and (except for ``string``) one socle
-element per vertex.  An element is a sparse dict basis index -> nonzero
-scalar, and all element arithmetic goes through the field's sparse-row
-kernel ``field.axpy``.  The product of two basis elements is read off in
-closed form, one lookup in the table of right products by an arrow and one
-g-orbit test, at a cost that does not grow with the weight; all
-computations are exact.  Products are not memoized: the closed form costs
-about one dict lookup, so a memo saves no time, and one that kept every
-pair the bimodule check asks for held most of what the check left on the
-table.  The symmetrizing form is checked on the sparse Gram matrix, which
-has at most two nonzero entries per row, at the socle partners of each
-basis element, so the Gram matrix, its symmetry and its rank cost O(dim).
+Elements are sparse dicts basis index -> nonzero scalar over the monomial
+basis: the idempotents, the g-words of each arrow as one block in length
+order, and (except for ``string``) one socle element per vertex; element
+arithmetic goes through ``field.axpy``.  The table of right products by
+one arrow defines the algebra, and the modules walk it
+(:mod:`surfalg.modules`).  Every other product of basis elements is one
+monomial step in closed form at a cost that does not grow with the weight
+(``AlgebraTable.basis_product``; ``products_by`` lists the products by one
+element): an idempotent factor gives the other, an arrow on the right is
+one right-table lookup, and a word times a word of length l >= 2 is the
+word l places on in its block, the socle, or 0, by one g-orbit test.
+Products are not memoized: a memo of the pairs the bimodule check asks for
+held most of its memory.  The symmetrizing form is checked on the sparse
+Gram matrix, at most two nonzero entries per row at the socle partners of
+each basis element, so it costs O(dim).
 """
 
 from collections import Counter
@@ -171,6 +165,9 @@ class AlgebraTable:
                 self.basis.append(("s", v))
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
+        # the basis runs idempotents, words, socle elements
+        self.first_word = len(q.vertices)
+        self.first_socle = self.first_word + len(words)
         self.src_of = [self._src(b) for b in self.basis]
         self.tgt_of = [self._tgt(b) for b in self.basis]
         self._basis_of = {}
@@ -249,55 +246,82 @@ class AlgebraTable:
     def basis_product(self, i, j):
         """Product of basis elements i and j, as a tuple of (index, scalar).
 
-        The product is read off in closed form, at a cost independent of
-        the weights, not walked arrow by arrow.  Why this equals b_i
-        multiplied by the arrows of b_j one ``right`` lookup at a time (the
-        walk, kept as the oracle of the tests):
-
-        * an idempotent factor gives the other factor, and a socle factor
-          next to any non-idempotent gives 0: no arrow extends the socle
-          on the right, and a word times the full cycle of s_v would pass
-          length mn;
-        * otherwise b_i is a word and b_j = w(a, l).  One lookup of
-          ``right[(i, a)]`` gives at most two terms (the g- or the
-          f-extension of b_i by a).  Every word term has length at least
-          2, because b_i has length at least 1 and an f-extension gives
-          w(abar, mn - 1) with mn >= 3.  The right table extends a word of
-          length k >= 2 only along g, by its g-successor g^k(y), so a term
-          w(y, k) meets the next arrow g(a) only if g^k(y) = g(a), and then
-          every further arrow of b_j is again the g-successor.  The term
-          grows to length L = k + l - 1, and the right table's
-          g-extensions are the g-word rule: w(y, L) is ``word_element(y,
-          L)`` (a word while L <= mn - top, at L = mn the socle times
-          c_y^-1 except for ``string``, which stops there, and 0 beyond).
-          So the term times the rest of b_j is its coefficient times
-          ``word_element(y, L)`` (:meth:`_continue`).  A socle
-          term is killed by any further arrow, so it survives only when
-          l = 1.
+        The closed form equals b_i times the arrows of b_j, one ``right``
+        lookup at a time (the walk, the oracle of the tests).  An
+        idempotent factor gives the other factor, and a socle factor next
+        to a non-idempotent gives 0.  Else b_i = w(y, k), b_j = w(a, l),
+        and l = 1 is the right table's entry at (i, a).  For l >= 2, the
+        f-extension by a (k = 1, a = f(y)), w(ybar, mn - 1) and in
+        ``deformed`` a socle term, never continues: the word does not meet
+        g(a) (see :func:`_socle_partners`), and no arrow extends the
+        socle.  The g-extension exists only for a = g^k(y), and the right
+        table extends it by every further arrow of b_j, each the
+        g-successor.  So b_i b_j is the g-word rule at length k + l from
+        y: w(y, k + l) while k + l <= mn - top, basis element i + l as
+        the words of y form one block in length order; c_y^-1 s_src(y) at
+        k + l = mn except for ``string``; else 0.
         """
-        bi, bj = self.basis[i], self.basis[j]
         if self.tgt_of[i] != self.src_of[j]:
             return ()
-        if bj[0] == "e":
+        if j < self.first_word:
             return ((i, self.field.one),)
-        if bi[0] == "e":
+        if i < self.first_word:
             return ((j, self.field.one),)
-        if bi[0] == "s" or bj[0] == "s":
+        if i >= self.first_socle or j >= self.first_socle:
             return ()
-        a, length = bj[1], bj[2]
-        terms = self.right.get((i, a), ())
-        if length > 1:
-            terms = [self._continue(t, a, length) for t in terms]
-            terms = [t for t in terms if t is not None]
-        return tuple(sorted(terms))
+        _, a, l = self.basis[j]
+        if l == 1:
+            return self.right.get((i, a), ())
+        _, y, k = self.basis[i]
+        if self.gd.g_power(y, k) != a:
+            return ()
+        if k + l <= self.mn[y] - self.top:
+            return ((i + l, self.field.one),)
+        if k + l == self.mn[y] and self.kind != "string":
+            return self._socle_term(y)
+        return ()
 
-    def _continue(self, term, a, length):
-        """A term of b_i a times g(a) ... g^(length-1)(a), or None for 0."""
-        k, cf = term
-        bk = self.basis[k]
-        if bk[0] != "w" or self.gd.g_power(bk[1], bk[2]) != self.gd.g[a]:
-            return None
-        return self._word_term(bk[1], bk[2] + length - 1, cf)
+    def products_by(self, j, left):
+        """The nonzero products b_k b_j (``left``) or b_j b_k, b_j not an
+        idempotent, as (k, terms) in ascending k, listed in closed form by
+        the rule of :meth:`basis_product`, not tried k by k.  s_v gives e_v
+        only.  A word w(a, l) gives the idempotent at its outer end, the
+        words w(y, d) with g^d(y) = a on the left (d in steps of the orbit
+        length n) or w(g^l(a), d) on the right while d + l has a nonzero
+        g-word, and for l = 1 the f-extension of f^-1(a) by a, or of a by
+        f(a).
+        """
+        one = self.field.one
+        out = [(self.index[("e", self.src_of[j] if left else self.tgt_of[j])],
+                ((j, one),))]
+        if j >= self.first_socle:
+            return out
+        _, a, l = self.basis[j]
+        mn, index, g_power = self.mn[a], self.index, self.gd.g_power
+        # the factors w(y, d) with g^d(y) = a (left) or w(g^l(a), d) meet
+        # b_j in a word while d < stop, and in the socle at d + l = mn
+        stop, socle = mn + 1 - self.top - l, self.kind != "string"
+        n = self.gd.n[a] if left else 1
+        for first in range(1, min(n, mn - l) + 1):
+            y = g_power(a, n - first) if left else a
+            base = index[("w", y if left else g_power(a, l), 1)] - 1
+            to = base + l if left else j
+            out += [(base + d, ((to + d, one),))
+                    for d in range(first, stop, n)]
+            if socle and (mn - l - first) % n == 0:
+                out.append((base + mn - l, self._socle_term(y)))
+        if l == 1:
+            f = self.quiver.f
+            k = index[("w", f[f[a]] if left else f[a], 1)]
+            terms = self.right.get((k, a) if left else (j, f[a]))
+            if terms:
+                out.append((k, terms))
+        out.sort()
+        return out
+
+    def _socle_term(self, a):
+        """The full cycle B_a = c_a^-1 s_src(a), as the terms of a product."""
+        return ((self.index[("s", self.quiver.src[a])], self.c_inv[a]),)
 
     def multiply(self, x, y):
         """Product of two elements (dicts basis index -> scalar)."""
@@ -319,21 +343,13 @@ class AlgebraTable:
     def word_element(self, a, length):
         """The path a g(a) ... g^(length-1)(a) as an element: the g-word
         rule of the module docstring, for any length >= 0."""
-        word = self._word_term(a, length, self.field.one)
-        return {} if word is None else {word[0]: word[1]}
-
-    def _word_term(self, a, length, cf):
-        """cf times the g-word rule, as one term (basis index, scalar), or
-        None for 0; cf must be nonzero."""
         if length == 0:
-            return self.index[("e", self.quiver.src[a])], cf
-        mn = self.mn[a]
-        if length <= mn - self.top:
-            return self.index[("w", a, length)], cf
-        if length == mn and self.kind != "string":
-            return (self.index[("s", self.quiver.src[a])],
-                    self.field.mul(cf, self.c_inv[a]))
-        return None
+            return self.idempotent(self.quiver.src[a])
+        if length <= self.mn[a] - self.top:
+            return {self.index[("w", a, length)]: self.field.one}
+        if length == self.mn[a] and self.kind != "string":
+            return dict(self._socle_term(a))
+        return {}
 
     def socle_element(self, v):
         return {self.index[("s", v)]: self.field.one}

@@ -15,32 +15,24 @@ Elements of a projective bimodule are stored as lists of pure tensors
 generators e (x) e and extended bilinearly, so composites only ever need
 to be checked on generators.  A generator image sum over terms
 t = (s2, u_t, v_t) sends the basis tensor kx (x) ky to the sum of
-kx.u_t (x) v_t.ky, so a rank matrix row is built from the one-sided
-products alone, and a term whose product kx.u_t or v_t.ky is zero adds
-nothing to it.  Each nonzero product is read off the table once per
-generator term and basis element (:func:`side_products`), and each row
-is filled in place from the pairs of nonzero products only
-(:meth:`BimoduleMap._keyed_rows`).  A codomain says how a pair (left
-part, right part) becomes flat columns: in P_i the one column left part
-+ right part, in A (the codomain of d0) the terms of the basis product.
-The unit rows e_i (x) ky give the rank of d0 (e_u (x) k -> k, the basis
-of A) and all of theta: e_v (x) k -> xi_v . k is theta's row at k
-(:func:`map_theta`).
+kx.u_t (x) v_t.ky, so a rank matrix row is built from the nonzero
+one-sided products alone, listed in closed form per generator term
+(:func:`side_products`).  A codomain says how a pair (left part, right
+part) becomes flat columns: in P_i the one column left part + right part,
+in A (the codomain of d0) the terms of the basis product.  The unit rows
+e_i (x) ky give the rank of d0 (e_u (x) k -> k, the basis of A) and all of
+theta: e_v (x) k -> xi_v . k is theta's row at k (:func:`map_theta`).
 
 Each P_i is a projective right A-module, so by Nakayama's lemma a passing
-stage is decided on the top complex X (x)_A A/J, J the radical, which is
-far smaller than X: where a summand A e_i (x) e_j A of P_i has
-dim(A e_i) . dim(e_j A) basis tensors, its top A e_i (x) e_j (A/J) has
-one, kx (x) e_j, per basis element kx of A e_i, and A (x)_A A/J is A/J,
-one idempotent per vertex.  So the top complex has dimensions n, dim A,
-2 dim A, 2 dim A, dim A, n.  A row of a top map f (x) A/J is the row of
-kx (x) e_j restricted to the columns whose right factor is an idempotent.
-The same generator builds both kinds of row, over a right basis that is
-the whole right factor e_j A or, for the top, e_j alone.  Full-size rows
-are built only for a stage that the top complex does not certify; see
-:func:`verify_bimodule_periodicity`.
+stage is decided on the top complex X (x)_A A/J, J the radical: a summand
+A e_i (x) e_j A has one top basis tensor kx (x) e_j per kx in A e_i, so the
+top complex has dimensions n, dim A, 2 dim A, 2 dim A, dim A, n.  One
+generator builds the rows of both, over the right basis e_j A or, for
+the top, e_j alone; full-size rows are built only for a stage the top
+complex does not certify (:func:`verify_bimodule_periodicity`).
 """
 
+from bisect import bisect_left
 from itertools import product
 
 from .algebra import dual_basis, el_scale
@@ -50,25 +42,20 @@ from .linalg import rank_of_rows
 class Codomain:
     """Flat coordinates of tensors, split into a left and a right part.
 
-    A codomain maps each basis element k of a left factor of summand s to
-    its left part ``left_parts(s)[k]``, and each basis element of a right
-    factor to its right part ``right_parts(s)[k]``.  ``add_tensor(row, lc,
+    Basis element k of a left (right) factor of summand s has the part
+    ``left_parts(s)[k]`` (``right_parts(s)[k]``); ``add_tensor(row, lc,
     rc)`` adds to a flat row the sum of a.b (lp (x) rp) over (lp, a) in lc
-    and (rp, b) in rc; ``dim`` is the number of flat columns.  Codomains
-    differ only in how one pair of parts becomes columns, so the rank rows
-    of every map come from one loop, and so do composites: basis elements
-    m1 and m2 of a left and a right factor of summand s make the column
-    ``left_parts(s)[m1] + right_parts(s)[m2]``, or, where ``product`` is
-    set, the terms of ``product(left_parts(s)[m1], right_parts(s)[m2])``.
+    and (rp, b) in rc, and ``dim`` counts the flat columns.  Codomains
+    differ only in how a pair of parts becomes columns: the column
+    lp + rp, or, where ``product`` is set, the terms of ``product(lp,
+    rp)``.  So the rank rows and the composites of every map come from
+    one loop each.
     """
 
     def top(self, rows):
-        """The parts of rows of kx (x) e_j that lie in the top complex.
-
-        A top row of :meth:`BimoduleMap._keyed_rows` is built from the
-        right part of e_j only, and in P (x)_A A/J the tensors k (x) e_j
-        are basis vectors, so rows into a BimoduleSpace are kept whole.
-        """
+        """The parts of rows of kx (x) e_j that lie in the top complex:
+        all of them, as a top row is built from the right part of e_j only
+        and the k (x) e_j are basis vectors of P (x)_A A/J."""
         return rows
 
     product = None
@@ -77,6 +64,8 @@ class Codomain:
         """Flat coordinates of a list of (summand, left, right) tensors."""
         out = {}
         for s, x, y in terms:
+            if not (x and y):
+                continue
             lp, rp = self.left_parts(s), self.right_parts(s)
             self.add_tensor(out, [(lp[k], c) for k, c in x.items()],
                             [(rp[k], c) for k, c in y.items()])
@@ -87,10 +76,8 @@ class BimoduleSpace(Codomain):
     """A direct sum of projective bimodules A e_i (x) e_j A.
 
     Basis tensor kx (x) ky of summand s sits at flat column
-    ``left_part[s][kx] + right_pos[s][ky]``: a left part ``offsets[s] +
-    (position of kx) * len(right[s])`` that depends on kx only plus a
-    right part, the position of ky, that depends on ky only.  A pair of
-    parts is the one column lp + rp.
+    ``left_part[s][kx] + right_pos[s][ky]``: the left part ``offsets[s] +
+    (position of kx) * len(right[s])`` plus the position of ky.
     """
 
     def __init__(self, table, summands):
@@ -123,10 +110,27 @@ class BimoduleSpace(Codomain):
         return self.right_pos[s]
 
     def add_tensor(self, row, lc, rc):
-        """row += the tensor whose parts are lc and rc: an outer sum."""
-        axpy = self.table.field.axpy
+        """row += the tensor whose parts are lc and rc: an outer sum.
+
+        A monomial, one part on each side, is one column, added in place
+        as ``field.axpy`` would add it."""
+        field = self.table.field
+        if len(lc) == 1 == len(rc):
+            (a, c), = lc
+            (b, d), = rc
+            col, w = a + b, c * d
+            old = row.get(col)
+            if old is not None:
+                w += old
+            if field.char:
+                w %= field.char
+            if w:
+                row[col] = w
+            elif old is not None:
+                del row[col]
+            return
         for a, c in lc:
-            axpy(row, [(a + b, d) for b, d in rc], c)
+            field.axpy(row, [(a + b, d) for b, d in rc], c)
 
 
 class AlgebraTarget(Codomain):
@@ -151,75 +155,80 @@ class AlgebraTarget(Codomain):
 
     def top(self, rows):
         """The images of rows in A/J: their idempotent columns."""
-        basis = self.table.basis
-        return [{k: c for k, c in row.items() if basis[k][0] == "e"}
-                for row in rows]
+        words = self.table.first_word
+        return [{k: c for k, c in row.items() if k < words} for row in rows]
 
     def add_tensor(self, row, lc, rc):
-        """row += the sum of a.b.(b_i . b_j) over (i, a) in lc, (j, b) in rc."""
-        field, bp = self.table.field, self.table.basis_product
+        """row += the sum of a.b.(b_i . b_j) over (i, a) in lc, (j, b) in
+        rc; an idempotent factor gives the other factor, with no call."""
+        t = self.table
+        field, words, one = t.field, t.first_word, t.field.one
         for i, a in lc:
             for j, b in rc:
-                prod = bp(i, j)
-                if prod:
-                    field.axpy(row, prod, field.mul(a, b))
+                if t.tgt_of[i] == t.src_of[j]:
+                    field.axpy(row, ((i, one),) if j < words else ((j, one),)
+                               if i < words else t.basis_product(i, j),
+                               field.mul(a, b))
 
 
 def side_products(table, basis, x, parts, left):
-    """The nonzero one-sided products of x with each basis element k.
+    """(position of k in ascending ``basis``, [(parts[m], scalar)]) for
+    each k with k.x (``left``) or x.k nonzero, listing that product.
 
-    Returns (position of k in ``basis``, [(parts[m], scalar)]) for every k
-    with k.x (``left``) or x.k nonzero, the list holding the terms of that
-    product.  Each product is the sum of ``basis_product`` over the terms
-    of x, which almost always has one term.  Two kinds of one-term x =
-    c.b_j skip even that lookup, with the same result: b_j = e_v, since
-    k.e_v is k when k ends at v and e_v.k is k when k starts at v (both
-    are 0 otherwise), as ``basis_product`` reads them; and on the left
-    b_j an arrow a, since ``basis_product(k, a)`` is the right table's
-    entry at (k, a), whose terms are in basis order already.
+    Only nonzero products are formed.  Several terms of x are summed per
+    k in the order of x, as ``multiply`` sums them.  A one-term x = c.b_j
+    lists its products in closed form (:meth:`AlgebraTable.products_by`),
+    found in ``basis`` by bisection, except two that read ``basis``
+    itself: b_j = e_v gives c.k for each k that ends (``left``) or starts
+    at v; and on the left an arrow b_j = a gives the right table's entry
+    at (k, a), which about half the k ending at s(a) have, so one lookup
+    per k costs less than listing them.
     """
-    bp, field = table.basis_product, table.field
-    out = []
-    if len(x) == 1:
-        # a basis product has distinct terms, none zero: no sum to form
-        (j, c), = x.items()
-        bj = table.basis[j]
-        if bj[0] == "e":
-            ends = table.tgt_of if left else table.src_of
-            return [(p, [(parts[k], c)]) for p, k in enumerate(basis)
-                    if ends[k] == bj[1]]
-        if left and bj[0] == "w" and bj[2] == 1:
-            right, a = table.right, bj[1]
-            prods = (right.get((k, a)) for k in basis)
-        else:
-            prods = (bp(k, j) if left else bp(j, k) for k in basis)
-        mul = field.mul
-        for p, prod in enumerate(prods):
-            if prod:
-                out.append((p, [(parts[m], mul(c, e)) for m, e in prod]))
-        return out
-    for p, k in enumerate(basis):
+    field = table.field
+    if len(x) != 1:
         acc = {}
         for j, c in x.items():
-            prod = bp(k, j) if left else bp(j, k)
-            if prod:
-                field.axpy(acc, prod, c)
-        if acc:
-            out.append((p, [(parts[m], a) for m, a in acc.items()]))
-    return out
+            for p, terms in side_products(table, basis, {j: c}, parts, left):
+                field.axpy(acc.setdefault(p, {}), terms, field.one)
+        return [(p, list(acc[p].items())) for p in sorted(acc) if acc[p]]
+    (j, c), = x.items()
+    bj = table.basis[j]
+    if bj[0] == "e":
+        ends = table.tgt_of if left else table.src_of
+        return [(p, [(parts[k], c)]) for p, k in enumerate(basis)
+                if ends[k] == bj[1]]
+    if left and bj[0] == "w" and bj[2] == 1:
+        right, a = table.right, bj[1]
+        found = enumerate(right.get((k, a)) for k in basis)
+    else:
+        found = _in_basis(basis, table.products_by(j, left))
+    mul = field.mul
+    return [(p, [(parts[m], e) for m, e in prod] if c == field.one
+             else [(parts[m], mul(c, e)) for m, e in prod])
+            for p, prod in found if prod]
+
+
+def _in_basis(basis, prods):
+    """(position in ``basis``, terms) for each (k, terms) of ``prods`` with
+    k in ``basis``; both ascending in k."""
+    p, n = 0, len(basis)
+    for k, terms in prods:
+        p = bisect_left(basis, k, p)
+        if p == n:
+            return
+        if basis[p] == k:
+            yield p, terms
 
 
 def block_rank(keyed_rows, field):
     """Rank of a matrix given as (block key, row) pairs, summed over blocks.
 
-    A row is keyed by (u, w) = (s(kx), t(ky)) of the basis tensor
-    kx (x) ky it is the image of (theta keys basis element k by
-    (s(k), t(k))).  A bimodule map multiplies only on the inside, so the
-    image is a sum of tensors kx.a (x) b.ky whose left factor still starts
-    at u and whose right factor still ends at w; in A it is kx.a.b.ky in
-    e_u A e_w.  Rows with different keys therefore have disjoint column
-    supports: the matrix is block diagonal up to a permutation, and its
-    rank is the sum of the block ranks.  Empty rows are dropped.
+    A row is keyed by (u, w) = (s(kx), t(ky)) of the basis tensor kx (x) ky
+    it is the image of.  A bimodule map multiplies only on the inside, so
+    the image is a sum of tensors kx.a (x) b.ky whose factors still start
+    at u and end at w (in A, kx.a.b.ky lies in e_u A e_w).  Rows with
+    different keys have disjoint supports, so the rank is the sum of the
+    block ranks.  Empty rows are dropped.
     """
     blocks = {}
     for key, row in keyed_rows:
@@ -247,38 +256,61 @@ class BimoduleMap:
 
         It is ``codomain.flatten`` of x.u (x) v.y over the terms (s2, u, v)
         of each generator image, in one pass.  One-term factors a.b_i and
-        c.b_j multiply to (a c) times ``basis_product(i, j)``, whose terms
-        are distinct and nonzero as ``multiply`` gives them; other products
-        come from ``multiply``.  Each pair of terms of x.u and v.y adds its
-        product of scalars at its columns (read off the codomain's
-        ``left_parts``, ``right_parts`` and ``product``, as in
-        :class:`Codomain`) at once, in ``flatten``'s order, so every entry
-        is set, summed and popped alike and the dict is the same, order
-        included.  v.y is not formed when x.u = 0.
+        c.b_j give (a c) times b_i b_j in the closed form of
+        ``basis_product``, with no call where that is one step: an
+        idempotent factor gives the other (once b_i ends where b_j starts),
+        and an arrow b_j the right table's entry at (i, b_j).  Other
+        products come from ``multiply``.  Generator terms are unpacked once
+        per call.  Each pair of terms of x.u and v.y adds its scalar at its
+        columns (as in :class:`Codomain`) at once, in ``flatten``'s order,
+        so the dict is the same, order included.  v.y is not formed when
+        x.u = 0.
         """
         table, cod = self.table, self.codomain
-        bp, multiply = table.basis_product, table.multiply
+        bp, multiply, right_table = table.basis_product, table.multiply, \
+            table.right
+        basis, src_of, tgt_of = table.basis, table.src_of, table.tgt_of
+        words, one = table.first_word, table.field.one
         axpy, p = table.field.axpy, table.field.char
         prod = cod.product
+        gens = {}
         out = {}
         get = out.get
         for s, x, y in terms:
             (i, a), = x.items() if len(x) == 1 else ((None, None),)
             (k, b), = y.items() if len(y) == 1 else ((None, None),)
-            for s2, u, v in self.gen_images[s]:
-                if i is not None and len(u) == 1:
-                    (j, c), = u.items()
-                    left, sc = bp(i, j), a * c
-                else:
+            gen = gens.get(s)
+            if gen is None:
+                gen = gens[s] = []
+                for s2, u, v in self.gen_images[s]:
+                    (j, c), = u.items() if len(u) == 1 else ((None, None),)
+                    (jv, cv), = v.items() if len(v) == 1 else ((None, None),)
+                    arrow = basis[j][1] if j is not None and \
+                        basis[j][0] == "w" and basis[j][2] == 1 else None
+                    gen.append((u, j, c, arrow, v, jv, cv,
+                                cod.left_parts(s2), cod.right_parts(s2)))
+            for u, j, c, arrow, v, jv, cv, lp, rp in gen:
+                if i is None or j is None:
                     left, sc = multiply(x, u).items(), 1
+                else:
+                    sc = a * c
+                    if arrow is not None:
+                        left = right_table.get((i, arrow))
+                    elif tgt_of[i] != src_of[j]:
+                        continue
+                    else:
+                        left = ((i, one),) if j < words else \
+                            ((j, one),) if i < words else bp(i, j)
                 if not left:
                     continue
-                if k is not None and len(v) == 1:
-                    (j, c), = v.items()
-                    right, sc = bp(j, k), sc * c * b
-                else:
+                if k is None or jv is None:
                     right = multiply(v, y).items()
-                lp, rp = cod.left_parts(s2), cod.right_parts(s2)
+                elif tgt_of[jv] != src_of[k]:
+                    continue
+                else:
+                    sc = sc * cv * b
+                    right = ((jv, one),) if k < words else \
+                        ((k, one),) if jv < words else bp(jv, k)
                 for m1, e1 in left:
                     e1 *= sc
                     at = lp[m1]
@@ -308,22 +340,17 @@ class BimoduleMap:
         return block_rank(self._keyed_rows(units, top), table.field)
 
     def rank(self, top=False):
-        """Rank of the matrix whose rows are the images of basis tensors.
+        """Rank of the matrix whose rows are the images of basis tensors;
+        with ``top``, of the top map f (x) A/J, one row per kx (x) e_j.
 
-        With ``top``, the rank of the top map f (x) A/J instead, one row
-        per basis element kx (x) e_j of the top of the domain.
-
-        The unit rows (:meth:`unit_rank`) are some of the rows, so their
-        rank bounds the rank from below; the number of columns of the
-        matrix being ranked, ``codomain.dim`` (``codomain.top_dim`` with
-        ``top``), bounds it from above.  So when there are at least as
-        many unit rows as columns, their rank is tried first, and if it
-        reaches the number of columns it is the rank.  Otherwise every
-        row is used.  This decides d0 (P0 -> A) from dim A rows: its unit
-        rows e_u (x) k -> k, for k in e_u A, are the basis of A; and its
-        top map from its n unit top rows e_u (x) e_u -> e_u, against the
-        n columns of A/J.  The other maps have far fewer unit rows than
-        columns.
+        The unit rows (:meth:`unit_rank`) are some of the rows, and the
+        columns, ``codomain.dim`` (``top_dim`` with ``top``), bound the
+        rank.  So with at least as many unit rows as columns their rank is
+        tried first and is the rank if it reaches the column count; else
+        every row is used.  This decides d0 (P0 -> A) from its unit rows
+        e_u (x) k -> k, the basis of A, and its top map from its n unit
+        top rows e_u (x) e_u -> e_u.  The other maps have far fewer unit
+        rows than columns.
         """
         dom, cod = self.domain, self.codomain
         if top:
@@ -342,27 +369,18 @@ class BimoduleMap:
         ky runs over a right basis of summand s: its whole right factor
         ``domain.right[s]``, or with ``top`` its right idempotent e_j
         alone.  Term t = (s2, u_t, v_t) of generator s sends kx (x) ky to
-        kx.u_t (x) v_t.ky, so the row of kx (x) ky is the sum over t of
-        kx.u_t (x) v_t.ky, and a term whose left or right product is zero
-        adds nothing to it.  So per term the nonzero v_t.ky are listed over
-        all ky and the nonzero kx.u_t over all kx (:func:`side_products`),
-        and each pair of them is added to its own row, kept in one flat
-        list per summand, by one ``codomain.add_tensor``.  The terms are
-        taken in order, so each row is the same sum, in the same order, as
-        term by term, and the work follows the nonzero products, not rows
-        times terms.  Every (kx, ky) gives a row, empty or not, keyed
-        (s(kx), t(ky)) as in :func:`block_rank`.  No kx has every kx.u_t
-        zero: each generator image built here (d0, d, R, S and theta's
-        Casimir map) has a term whose left factor is a nonzero multiple of
-        the summand's left idempotent e_i, and kx.e_i = kx.
+        kx.u_t (x) v_t.ky, so per term the nonzero v_t.ky and kx.u_t are
+        listed (:func:`side_products`) and each pair is added to its own
+        row by one ``codomain.add_tensor``.  Terms are taken in order, so
+        each row is the same sum, in the same order, as term by term, and
+        the work follows the nonzero products.  Every (kx, ky) gives a
+        row, empty or not, keyed (s(kx), t(ky)) as in :func:`block_rank`.
 
         The top map sends kx (x) e_j to the sum over t of top(v_t) .
-        (kx.u_t (x) e_j), top(v) the coefficient of e_j in v: the radical
-        terms of v_t lie in P J.  So with ``top`` the one right product of
-        term t is c.e_j, c the coefficient of e_j in v_t, and term t adds
-        nothing when v_t has no e_j term; the row has only columns whose
-        right factor is an idempotent, and its key is (s(kx), j).  Into A
-        the rows are then cut to their idempotent columns
+        (kx.u_t (x) e_j), top(v) the coefficient c of e_j in v, as the
+        radical terms of v_t lie in P J.  So with ``top`` the one right
+        product of term t is c.e_j, and a term without it adds nothing;
+        into A the rows are then cut to their idempotent columns
         (:meth:`Codomain.top`).
         """
         table, cod = self.table, self.codomain
@@ -424,21 +442,13 @@ def bimodule_dims(table):
 def rho(table, arrows, coeff, sidx):
     """The derivation-style lift of a relation path into P1.
 
-    A path a_1 ... a_m maps to the sum over k of
-    coeff . (a_1 ... a_{k-1}) (x) (a_{k+1} ... a_m) placed in the summand
-    ``sidx[a_k]`` of a_k, with the empty prefix and suffix read as
-    idempotents.
-
-    Each prefix and suffix is one ``word_element`` lookup, not a product.
-    The paths lifted here (:func:`map_R`) are (a, f(a)), A_abar =
-    w(abar, mn - 1) and, for ``deformed``, B_abar = w(abar, mn).  Each
-    prefix a_1 ... a_{k-1} and suffix a_{k+1} ... a_m of them is empty, a
-    single arrow, or a g-subword of length at most mn - 1, so by the
-    g-word rule of :mod:`surfalg.algebra` it is ``word_element(a_1,
-    k - 1)`` or ``word_element(a_{k+1}, m - k)``, and the empty suffix
-    is e_t(a_k).  The bimodule complex is built for ``weighted`` and
-    ``deformed`` only, where words run up to length mn - 1, so none of
-    these elements is zero and every k gives a term.
+    A path a_1 ... a_m maps to the sum over k of coeff . (a_1 ... a_{k-1})
+    (x) (a_{k+1} ... a_m) in the summand ``sidx[a_k]``, an empty prefix or
+    suffix read as an idempotent.  The paths lifted (:func:`map_R`) are
+    (a, f(a)), A_abar and, for ``deformed``, B_abar; each prefix and suffix
+    of them is empty, an arrow or a g-subword of length at most mn - 1, so
+    it is one ``word_element`` lookup (the g-word rule), never 0 in the
+    ``weighted`` and ``deformed`` kinds the complex is built for.
     """
     field = table.field
     last = len(arrows) - 1

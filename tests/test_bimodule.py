@@ -435,8 +435,9 @@ def test_top_rows_keep_the_coefficient_of_e_j(field):
 
 @pytest.mark.parametrize("field", [sa.QQ, sa.PrimeField(101)])
 def test_stage_ranks_make_no_multiply_call(field):
-    # every stage rank reads its rows off basis_product, the top ranks of
-    # the certificate included
+    # every stage rank reads its rows off the closed-form products of
+    # AlgebraTable.products_by, not multiply, the top ranks of the
+    # certificate included
     t = fx.triangle_algebra(m=2, field=field)
     depth, stages, calls = [0], [], []
     orig_multiply = AlgebraTable.multiply
@@ -473,7 +474,8 @@ def test_stage_ranks_make_no_multiply_call(field):
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_bimodule_check_leaves_the_table_as_it_was(field):
-    # basis_product keeps no state: a memo of products would grow here.
+    # basis_product and products_by keep no state: a memo of products
+    # would grow here.
     # What the table computes once (the Gram matrix, the dual basis and
     # the basis_of lists the check reads) is computed beforehand.
     t = fx.triangle_algebra(m=4, field=FIELDS[field])

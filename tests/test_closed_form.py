@@ -51,21 +51,28 @@ def assert_products_match_walk(t):
     return t.dim * t.dim
 
 
+# Raised weights reach words longer than 2, so the block offset i + l and
+# the socle at total length mn are compared, not only the right table.
+@pytest.mark.parametrize("raise_by", (0, 1, 2))
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(fx.ALL_QUIVERS))
-def test_closed_product_matches_walk(name, kind, field):
+def test_closed_product_matches_walk(name, kind, field, raise_by):
     rng = random.Random(f"{name}/{kind}/{field}")
-    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng))
+    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng,
+                                      raise_by))
     assert_products_match_walk(t)
 
 
+@pytest.mark.parametrize("raise_by", (0, 1, 2))
 @pytest.mark.parametrize("border_nonzero", (True, False))
 @pytest.mark.parametrize("field", (sa.PrimeField(2), sa.QQ),
                          ids=("F2", "Q"))
-def test_closed_product_matches_walk_deformed(field, border_nonzero):
+def test_closed_product_matches_walk_deformed(field, border_nonzero,
+                                              raise_by):
     rng = random.Random(int(border_nonzero))
-    t = sa.build_algebra(deformed_triangle(field, rng, border_nonzero))
+    t = sa.build_algebra(deformed_triangle(field, rng, border_nonzero,
+                                           raise_by))
     assert_products_match_walk(t)
 
 

@@ -3,9 +3,10 @@
 ``RowSolver`` and ``pivot_columns`` take a row of one entry or none
 without reducing it; ``RationalField.inv`` inverts an int or a
 ``Fraction`` without ``1 / Fraction(a)``; ``GData.g_power`` reads g^k(a)
-off the orbit; ``side_products`` reads products by an idempotent or
-(on the left) an arrow off the table; ``apply_flat`` forms a product
-of one-term factors with one ``basis_product`` lookup; and
+off the orbit; ``side_products`` lists only the nonzero products, in
+closed form (``AlgebraTable.products_by``); ``apply_flat`` forms a
+product of one-term factors with no call for an idempotent or an arrow
+factor and one ``basis_product`` lookup otherwise; and
 ``RightModule.act_path`` maps a vector of one entry under an arrow to a
 copy, or a multiple, of one row of the arrow's matrix.  Each must give
 the general path's output exactly, in the same order.
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
 from surfalg.bimodule import (
-    BimoduleMap, bimodule_spaces, map_d, map_d0, map_R, map_S,
+    AlgebraTarget, BimoduleMap, bimodule_spaces, map_d, map_d0, map_R, map_S,
     map_theta, side_products)
 from surfalg.linalg import RowSolver, _ckey, pivot_columns
 from surfalg.modules import projective_sum
@@ -184,15 +185,22 @@ def general_side_products(table, basis, x, parts, left):
 
 def assert_side_products_match(table):
     field = table.field
-    basis = list(range(table.dim))
-    parts = {m: 7 * m + 3 for m in basis}
+    dim = table.dim
+    parts = {m: 7 * m + 3 for m in range(dim)}
     scale = field.neg(field.of_int(2)) if field.char != 2 else field.one
-    for j in basis:
-        for x in ({j: field.one}, {j: scale}):
-            for left in (True, False):
-                assert side_products(table, basis, x, parts, left) == \
-                    general_side_products(table, basis, x, parts, left), \
-                    (table.basis[j], left)
+    # the whole basis, and ascending parts of it that miss some products
+    for basis in (list(range(dim)), list(range(1, dim, 2)),
+                  list(range(0, dim, 3))):
+        for j in range(dim):
+            j2 = (7 * j + 3) % dim
+            xs = [{j: field.one}, {j: scale}]
+            if j2 != j:
+                xs.append({j: field.one, j2: scale})
+            for x in xs:
+                for left in (True, False):
+                    assert side_products(table, basis, x, parts, left) == \
+                        general_side_products(table, basis, x, parts,
+                                              left), (x, left)
 
 
 @pytest.mark.parametrize("raise_by", (0, 1))
@@ -269,6 +277,22 @@ def test_apply_flat_matches_flatten_of_multiply_deformed_f2():
     rng = random.Random("apply_flat/deformed/F2")
     assert_apply_flat_matches(sa.build_algebra(
         deformed_triangle(sa.PrimeField(2), rng, True)), rng)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", WORD_CASES)
+def test_algebra_target_flattens_to_multiply(name, kind, field):
+    # a tensor x (x) y into A is x.y, an idempotent factor read with no
+    # call; random factors, most of them not composable
+    rng = random.Random(f"target/{name}/{kind}/{field}")
+    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng, 1))
+    target = AlgebraTarget(t)
+    for _ in range(100):
+        x, y = ({k: t.field.of_int(rng.randrange(1, 5))
+                 for k in rng.sample(range(t.dim), rng.randrange(1, 4))}
+                for _ in range(2))
+        assert list(target.flatten([(None, x, y)]).items()) == \
+            list(t.multiply(x, y).items())
 
 
 # -- module arrow steps ------------------------------------------------------

@@ -3,8 +3,9 @@
     python3 tools/check_oracles.py
 
 The tier-1 tests hold each fast path to a slow oracle at weight raises 0
-and 1.  This tool makes the same comparisons, with the same test helpers,
-up to raise 2 over the least legal weights:
+and 1 (the closed-form products up to raise 2).  This tool makes the same
+comparisons, with the same test helpers, up to raise 2 over the least
+legal weights:
 
 - products: ``AlgebraTable.basis_product`` on every pair of basis elements
   and ``word_element`` at every length against the arrow walk
