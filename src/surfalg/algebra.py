@@ -24,19 +24,21 @@ extends the socle.  ``AlgebraTable.word_element`` is this rule.
 
 Elements are sparse dicts basis index -> nonzero scalar over the monomial
 basis: the idempotents, the g-words of each arrow as one block in length
-order, and (except for ``string``) one socle element per vertex; element
-arithmetic goes through ``field.axpy``.  The table of right products by
-one arrow defines the algebra, and the modules walk it
-(:mod:`surfalg.modules`).  Every other product of basis elements is one
-monomial step in closed form at a cost that does not grow with the weight
-(``AlgebraTable.basis_product``; ``products_by`` lists the products by one
-element): an idempotent factor gives the other, an arrow on the right is
-one right-table lookup, and a word times a word of length l >= 2 is the
-word l places on in its block, the socle, or 0, by one g-orbit test.
+order (w(a, l) at ``start[a] + l - 1``), and (except for ``string``) one
+socle element per vertex; element arithmetic goes through
+``field.axpy``.  The table of right products by one arrow defines the
+algebra, and the modules walk it (:mod:`surfalg.modules`).  Every other
+product of basis elements is one monomial step in closed form at a cost
+that does not grow with the weight (``AlgebraTable.basis_product``;
+``products_by`` lists the products by one element): an idempotent factor
+gives the other, an arrow on the right is one right-table lookup, and a
+word times a word of length l >= 2 is the word l places on in its block,
+the socle, or 0, by one g-orbit test.
 Products are not memoized: a memo of the pairs the bimodule check asks for
-held most of its memory.  The symmetrizing form is checked on the sparse
-Gram matrix, at most two nonzero entries per row at the socle partners of
-each basis element, so it costs O(dim).
+held most of its memory.  The symmetrizing form needs no product: b_i b_j
+reaches the socle only at j = p(i), an involution read off the block
+starts (``socle_involution``), or at j = i for a deformed border loop, so
+the Gram matrix and the dual basis are read off p in O(dim).
 """
 
 from collections import Counter
@@ -149,42 +151,39 @@ class AlgebraTable:
         self.mn = {a: pres.weight_of(a) * self.gd.n[a] for a in q.arrows}
         self.c = {a: pres.param_of(a) for a in q.arrows}
         self.c_inv = {a: self.field.inv(c) for a, c in self.c.items()}
-        self.basis = []
-        for v in q.vertices:
-            self.basis.append(("e", v))
         # the longest word has length mn - top
         self.top = 2 if pres.kind == "string" else 1
-        words = []
-        for a in q.arrows:
-            for length in range(1, self.mn[a] - self.top + 1):
-                words.append(("w", a, length))
-        words.sort(key=lambda w: (skey(self.gd.rep[w[1]]), skey(w[1]), w[2]))
-        self.basis.extend(words)
+        verts = list(q.vertices)
+        # idempotents, words, socle elements; w(a, l) at start[a] + l - 1,
+        # the blocks sorted by (skey(rep a), skey(a)), so the words are in
+        # (skey(rep a), skey(a), l) order, as skey tells arrows apart
+        self.basis = [("e", v) for v in verts]
+        self.src_of, self.tgt_of = list(verts), list(verts)
+        self.first_word = len(verts)
+        self.start = {}
+        g, rep = self.gd.g, self.gd.rep
+        for a in sorted(q.arrows, key=lambda a: (skey(rep[a]), skey(a))):
+            self.start[a] = len(self.basis)
+            words = self.mn[a] - self.top
+            self.basis += [("w", a, length) for length in range(1, words + 1)]
+            self.src_of += [q.src[a]] * words
+            last = a
+            for _ in range(words):
+                self.tgt_of.append(q.tgt[last])
+                last = g[last]
+        self.first_socle = len(self.basis)
         if pres.kind != "string":
-            for v in q.vertices:
-                self.basis.append(("s", v))
+            self.basis += [("s", v) for v in verts]
+            self.src_of += verts
+            self.tgt_of += verts
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
-        # the basis runs idempotents, words, socle elements
-        self.first_word = len(q.vertices)
-        self.first_socle = self.first_word + len(words)
-        self.src_of = [self._src(b) for b in self.basis]
-        self.tgt_of = [self._tgt(b) for b in self.basis]
         self._basis_of = {}
         self.right = {}
         self._build_right_table()
         self._gram = None
         self._dual = None
-
-    def _src(self, b):
-        if b[0] == "w":
-            return self.quiver.src[b[1]]
-        return b[1]
-
-    def _tgt(self, b):
-        if b[0] == "w":
-            return self.quiver.tgt[self.gd.g_power(b[1], b[2] - 1)]
-        return b[1]
+        self._partner = None
 
     def least_arrow_at(self, v):
         return self.quiver.out_arrows(v)[0]
@@ -199,39 +198,32 @@ class AlgebraTable:
         return tuple(out)
 
     def _build_right_table(self):
-        field = self.field
-        q = self.quiver
-        for i, b in enumerate(self.basis):
-            if b[0] == "e":
-                for a in q.out_arrows(b[1]):
-                    self.right[(i, a)] = ((self.index[("w", a, 1)], field.one),)
-                continue
-            if b[0] == "s":
-                continue
-            a, length = b[1], b[2]
-            last = self.gd.g_power(a, length - 1)
-            gx = self.gd.g[last]
-            fx = q.f[last]
-            mn = self.mn[a]
-            # Extension along g: the word grows, tops out, or hits the socle.
-            if length + 1 <= mn - self.top:
-                self.right[(i, gx)] = ((self.index[("w", a, length + 1)], field.one),)
-            elif self.kind != "string":
-                soc = self.index[("s", q.src[a])]
-                self.right[(i, gx)] = ((soc, self.c_inv[a]),)
-            # Extension along f: zero except from single arrows in the
-            # weighted and deformed algebras.
-            if length == 1 and self.kind in ("weighted", "deformed"):
+        """The right products by one arrow: w(a, l) g^l(a) by the g-word
+        rule, and w(a, 1) f(a) by the relation, except for ``string``."""
+        field, q, one = self.field, self.quiver, self.field.one
+        g, start, right = self.gd.g, self.start, self.right
+        for k, v in enumerate(q.vertices):
+            for a in q.out_arrows(v):
+                right[(k, a)] = ((start[a], one),)
+        for a, first in start.items():
+            last_word, last = first + self.mn[a] - self.top - 1, a
+            for i in range(first, last_word + 1):
+                last = g[last]
+                if i < last_word:
+                    right[(i, last)] = ((i + 1, one),)
+                elif self.kind != "string":
+                    right[(i, last)] = self._socle_term(a)
+            if self.kind in ("weighted", "deformed"):
                 ab = q.bar[a]
-                terms = [(self.index[("w", ab, self.mn[ab] - 1)], self.c[ab])]
+                terms = [(start[ab] + self.mn[ab] - 2, self.c[ab])]
                 if self.kind == "deformed" and q.f[a] == a:
                     bb = self.pres.b.get(q.src[a], field.zero)
                     if bb != field.zero:
-                        soc = self.index[("s", q.src[a])]
-                        terms.append((soc, field.mul(bb, self.c_inv[ab])))
-                if fx == gx:
+                        terms.append((self.index[("s", q.src[a])],
+                                      field.mul(bb, self.c_inv[ab])))
+                if q.f[a] == g[a]:
                     raise AssertionError("g- and f-extensions must differ")
-                self.right[(i, fx)] = tuple(terms)
+                right[(first, q.f[a])] = tuple(terms)
 
     def chain(self, j):
         """Basis element j as (scalar, arrow sequence); idempotents give ()."""
@@ -253,7 +245,7 @@ class AlgebraTable:
         and l = 1 is the right table's entry at (i, a).  For l >= 2, the
         f-extension by a (k = 1, a = f(y)), w(ybar, mn - 1) and in
         ``deformed`` a socle term, never continues: the word does not meet
-        g(a) (see :func:`_socle_partners`), and no arrow extends the
+        g(a) (see :func:`socle_involution`), and no arrow extends the
         socle.  The g-extension exists only for a = g^k(y), and the right
         table extends it by every further arrow of b_j, each the
         g-successor.  So b_i b_j is the g-word rule at length k + l from
@@ -297,14 +289,14 @@ class AlgebraTable:
         if j >= self.first_socle:
             return out
         _, a, l = self.basis[j]
-        mn, index, g_power = self.mn[a], self.index, self.gd.g_power
+        mn, start, g_power = self.mn[a], self.start, self.gd.g_power
         # the factors w(y, d) with g^d(y) = a (left) or w(g^l(a), d) meet
         # b_j in a word while d < stop, and in the socle at d + l = mn
         stop, socle = mn + 1 - self.top - l, self.kind != "string"
         n = self.gd.n[a] if left else 1
         for first in range(1, min(n, mn - l) + 1):
             y = g_power(a, n - first) if left else a
-            base = index[("w", y if left else g_power(a, l), 1)] - 1
+            base = start[y if left else g_power(a, l)] - 1
             to = base + l if left else j
             out += [(base + d, ((to + d, one),))
                     for d in range(first, stop, n)]
@@ -312,7 +304,7 @@ class AlgebraTable:
                 out.append((base + mn - l, self._socle_term(y)))
         if l == 1:
             f = self.quiver.f
-            k = index[("w", f[f[a]] if left else f[a], 1)]
+            k = start[f[f[a]] if left else f[a]]
             terms = self.right.get((k, a) if left else (j, f[a]))
             if terms:
                 out.append((k, terms))
@@ -338,7 +330,7 @@ class AlgebraTable:
         return {self.index[("e", v)]: self.field.one}
 
     def arrow_element(self, a):
-        return {self.index[("w", a, 1)]: self.field.one}
+        return {self.start[a]: self.field.one}
 
     def word_element(self, a, length):
         """The path a g(a) ... g^(length-1)(a) as an element: the g-word
@@ -346,7 +338,7 @@ class AlgebraTable:
         if length == 0:
             return self.idempotent(self.quiver.src[a])
         if length <= self.mn[a] - self.top:
-            return {self.index[("w", a, length)]: self.field.one}
+            return {self.start[a] + length - 1: self.field.one}
         if length == self.mn[a] and self.kind != "string":
             return dict(self._socle_term(a))
         return {}
@@ -492,25 +484,21 @@ def symmetrizing_form(table):
     }
 
 
-def form_value(table, phi, x):
-    field = table.field
-    out = field.zero
-    for k, v in x.items():
-        p = phi.get(k)
-        if p is not None:
-            out = field.add(out, field.mul(p, v))
-    return out
+def socle_involution(table):
+    """The socle partner p(i) of each basis index i, as a list of ints.
 
-
-def _socle_partners(table, i):
-    """The columns j, ascending, where b_i b_j can have a socle term.
+    For a table with a socle (not ``string``): p(e_v) = s_v, p(s_v) = e_v,
+    and p(w(a, l)) = w(g^l(a), mn - l) at start[g^l(a)] + mn - l - 1 for
+    1 <= l <= mn - 1 (mn is constant on a g-orbit).  p is an involution,
+    as g^(mn)(a) = a.  It is built once per table, walking each g-orbit.
 
     By the product rule of :meth:`AlgebraTable.basis_product`, b_i b_j has
     a socle term only in three cases:
 
     * one factor is e_v and the other s_v;
     * b_i = w(a, l) and b_j = w(g^l(a), mn - l): the g-extension of b_i
-      by the first arrow of b_j, continued to total length mn;
+      by the first arrow of b_j, continued to total length mn, which is the
+      full cycle B_a = c_a^-1 s_src(a);
     * ``deformed`` only: b_i = b_j = w(a, 1) for a border loop a, f(a) = a,
       whose f-extension a.a carries b/c times the socle.
 
@@ -519,30 +507,37 @@ def _socle_partners(table, i):
     w(a, 1).f(a) gives w(abar, mn - 1), and that word continues only when
     g^(mn-1)(abar) = g(f(a)).  But g^(mn-1)(abar) = g^-1(abar) = f^-1(a),
     since g = bar . f, while g(f(a)) = bar(f^2(a)) = bar(f^-1(a)), and no
-    arrow equals its bar.  So each row has at most two candidate columns.
+    arrow equals its bar.  So each row has at most two socle columns, p(i)
+    and, for a deformed border loop, i itself.
     """
-    b = table.basis[i]
-    if b[0] == "e":
-        return [table.index[("s", b[1])]]
-    if b[0] == "s":
-        return [table.index[("e", b[1])]]
-    a, length = b[1], b[2]
-    out = [table.index[("w", table.gd.g_power(a, length),
-                        table.mn[a] - length)]]
-    if table.kind == "deformed" and length == 1 and table.quiver.f[a] == a:
-        out.append(i)
-    return sorted(out)
+    if table._partner is None:
+        n, g, start = table.first_word, table.gd.g, table.start
+        partner = list(range(table.first_socle, table.first_socle + n))
+        for a in start:
+            mn, cur = table.mn[a], a
+            for length in range(1, mn):
+                cur = g[cur]
+                partner.append(start[cur] + mn - length - 1)
+        partner += range(n)
+        table._partner = partner
+    return table._partner
 
 
 def gram_matrix(table, phi):
     """The Gram matrix G[i][j] = phi(b_i b_j), as sparse rows.
 
     phi must be supported on the socle elements, as the symmetrizing form
-    is.  Then G[i][j] can be nonzero only for the at most two socle
-    partners j of i (see :func:`_socle_partners`), and only those entries
-    are computed: every other product has no socle term, so its entry is
-    exactly zero and the sparse rows are the full Gram matrix.  This takes
-    at most 2 dim products, each O(1).
+    is.  Then row i is nonzero at most at the socle partner p(i) and, for a
+    deformed border loop, at i (see :func:`socle_involution`), and each
+    entry is read off the g-word rule with no product formed:
+
+    * G[e_v][s_v] = G[s_v][e_v] = phi(s_v);
+    * G[w(a, l)][p(i)] = phi(s_src(a)) c_a^-1, the full cycle B_a;
+    * ``deformed``: a border loop a at v with b_v != 0 adds G[i][i] =
+      phi(s_v) b_v c_abar^-1, from a.a = c_abar A_abar + b_v B_abar.
+
+    Every other entry is exactly zero, so the sparse rows (zero entries
+    left out, columns ascending) are the full Gram matrix, in O(dim).
 
     Raises:
         ValueError: for ``string``, which has no socle elements, or when
@@ -552,15 +547,21 @@ def gram_matrix(table, phi):
         raise ValueError("string algebras carry no socle form")
     if any(table.basis[k][0] != "s" for k in phi):
         raise ValueError("the form must be supported on the socle")
-    field = table.field
-    gram = []
-    for i in range(table.dim):
-        row = {}
-        for j in _socle_partners(table, i):
-            val = form_value(table, phi, dict(table.basis_product(i, j)))
-            if val != field.zero:
-                row[j] = val
-        gram.append(row)
+    field, zero, q = table.field, table.field.zero, table.quiver
+    partner = socle_involution(table)
+    at = {v: phi.get(table.first_socle + k, zero)
+          for k, v in enumerate(q.vertices)}
+    scale = list(at.values())
+    for a in table.start:
+        scale += [field.mul(at[q.src[a]], table.c_inv[a])] * (table.mn[a] - 1)
+    scale += at.values()
+    gram = [{p: x} if x != zero else {} for p, x in zip(partner, scale)]
+    for v, bb in table.pres.b.items():
+        loop = table.pres.border_loops[v]
+        x = field.mul(field.mul(at[v], bb), table.c_inv[q.bar[loop]])
+        if x != zero:
+            i = table.start[loop]
+            gram[i] = dict(sorted({**gram[i], i: x}.items()))
     return gram
 
 
@@ -604,13 +605,17 @@ def dual_basis(table):
     """The dual basis b_j* with phi(b_i . b_j*) = delta_ij, as elements.
 
     Writing b_j* = sum_k x_k b_k, the conditions read sum_k x_k G[i][k] =
-    delta_ij, so x is column j of G^-1.  The socle partners of
-    :func:`_socle_partners` pair each index i with p(i), an involution
-    (p(p(i)) = i, as g^(mn)(a) = a), and G[i][k] is nonzero only for k in
-    the block {i, p(i)}.  So G is the direct sum of these 1 x 1 and 2 x 2
-    blocks, G^-1 is the direct sum of their inverses, and b_j* has its
-    terms in the block of j: for a 2 x 2 block [[a, b], [c, d]] on
-    indices i < p the inverse is [[d, -b], [-c, a]] / (ad - bc).
+    delta_ij, so x is column j of G^-1.  G[i][k] is nonzero only for k in
+    the block {i, p(i)} of the socle-partner involution p
+    (:func:`socle_involution`).  So G is the direct sum of these 1 x 1 and
+    2 x 2 blocks, G^-1 is the direct sum of their inverses, and b_j* has
+    its terms in the block of j:
+
+    * p(j) = j: b_j* = G[j][j]^-1 b_j;
+    * an anti-diagonal block [[0, b], [c, 0]] on j and p = p(j), with
+      b = G[j][p]: b_j* = b^-1 b_p, and b_p* = c^-1 b_j;
+    * else, only for a deformed border loop, the block [[a, b], [c, d]]
+      on j < p has the inverse [[d, -b], [-c, a]] / (ad - bc).
 
     Raises:
         ValueError: when the form is degenerate, that is when some block
@@ -620,29 +625,32 @@ def dual_basis(table):
         return table._dual
     field = table.field
     gram = _socle_gram(table)
-    zero = field.zero
+    zero, inv = field.zero, field.inv
     dual = [None] * table.dim
-    for j in range(table.dim):
+    for j, p in enumerate(socle_involution(table)):
         if dual[j] is not None:
             continue
-        block = sorted({j, *_socle_partners(table, j)})
-        if len(block) == 1:
-            a = gram[j].get(j, zero)
+        a = gram[j].get(j, zero)
+        if p == j:
             if a == zero:
                 raise ValueError("symmetrizing form is degenerate")
-            dual[j] = {j: field.inv(a)}
+            dual[j] = {j: inv(a)}
             continue
-        i, p = block
-        a, b = gram[i].get(i, zero), gram[i].get(p, zero)
-        c, d = gram[p].get(i, zero), gram[p].get(p, zero)
+        b, c = gram[j].get(p, zero), gram[p].get(j, zero)
+        d = gram[p].get(p, zero)
+        if a == zero and d == zero:
+            if b == zero or c == zero:
+                raise ValueError("symmetrizing form is degenerate")
+            dual[j], dual[p] = {p: inv(b)}, {j: inv(c)}
+            continue
         det = field.sub(field.mul(a, d), field.mul(b, c))
         if det == zero:
             raise ValueError("symmetrizing form is degenerate")
-        s = field.inv(det)
-        for k, (top, bottom) in ((i, (d, field.neg(c))),
+        s = inv(det)
+        for k, (top, bottom) in ((j, (d, field.neg(c))),
                                  (p, (field.neg(b), a))):
             dual[k] = {idx: field.mul(s, x)
-                       for idx, x in ((i, top), (p, bottom)) if x != zero}
+                       for idx, x in ((j, top), (p, bottom)) if x != zero}
     table._dual = dual
     return dual
 

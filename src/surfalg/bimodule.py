@@ -567,6 +567,13 @@ def xi_element(table, v):
     return terms
 
 
+def xi_times_socle(table, xi, v):
+    """The terms (s, x, y . s_v) of xi_v . s_v: of all b . s_v only
+    e_v . s_v = s_v is nonzero, so y . s_v is y[e_v] s_v."""
+    e, soc = table.index[("e", v)], table.index[("s", v)]
+    return [(s, x, {soc: y[e]} if e in y else {}) for s, x, y in xi]
+
+
 def map_theta(table, p3):
     """A -> P3, e_v to xi_v; its image is the kernel of S.
 
@@ -697,11 +704,8 @@ def verify_bimodule_periodicity(table):
     ranks["theta"] = rank("theta", n if comp and exact_at_p3 else None,
                           table.dim, theta["rank"])
     kernel_dim = p3.dim - ranks["S"]
-    socle_seen = all(
-        p3.flatten([(s, x, table.multiply(y, table.socle_element(v)))
-                    for s, x, y in theta["xis"][v]])
-        for v in q.vertices
-    )
+    socle_seen = all(p3.flatten(xi_times_socle(table, theta["xis"][v], v))
+                     for v in q.vertices)
     ok = (comp and ranks["theta"] == table.dim
           and kernel_dim == table.dim and socle_seen)
     stages.append({"name": "kernel_of_S_is_the_algebra", "ok": ok,

@@ -137,14 +137,14 @@ class RightModule:
         """
         table = self.table
         field = table.field
-        mats, g, index = self.mats, table.gd.g, table.index
+        mats, g, index, start = self.mats, table.gd.g, table.index, table.start
         out = {index[("e", v)]: dict(vec)}
         least = table.least_arrow_at(v)
         for a in table.quiver.out_arrows(v):
             cur, arrow = vec, a
             for length in range(1, table.mn[a] - table.top + 1):
                 cur = _arrow_step(cur, mats[arrow], field)
-                out[index[("w", a, length)]] = cur
+                out[start[a] + length - 1] = cur
                 arrow = g[arrow]
             if a == least and table.kind != "string":
                 out[index[("s", v)]] = el_scale(

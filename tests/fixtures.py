@@ -209,6 +209,17 @@ def walk(table, cur, arrows):
     return cur
 
 
+def form_value(table, phi, x):
+    """phi(x) for a form phi and an element x, both dicts index -> scalar."""
+    field = table.field
+    out = field.zero
+    for k, v in x.items():
+        p = phi.get(k)
+        if p is not None:
+            out = field.add(out, field.mul(p, v))
+    return out
+
+
 def path_element(table, arrows, coeff):
     """coeff times a nonempty path of composable arrows, by the walk."""
     start = table.index[("e", table.quiver.src[arrows[0]])]

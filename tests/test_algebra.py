@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
-from surfalg.algebra import el_add, form_value
+from surfalg.algebra import el_add
 from surfalg.fields import PrimeField
 
 import fixtures as fx
-from fixtures import FIELDS, WORD_CASES, presentation
+from fixtures import FIELDS, WORD_CASES, form_value, presentation
 from test_closed_form import assert_words_match_walk
 
 

@@ -385,6 +385,19 @@ def test_rows_match_multiply_oracle_deformed_f2(raise_by):
         deformed_triangle(sa.PrimeField(2), rng, True, raise_by)))
 
 
+@pytest.mark.parametrize("raise_by", (0, 1))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name,kind", CASES)
+def test_xi_times_socle_matches_multiply(name, kind, field, raise_by):
+    rng = random.Random(f"{name}/{kind}/{field}/{raise_by}")
+    t = sa.build_algebra(presentation(name, kind, FIELDS[field], rng,
+                                      raise_by))
+    for v in t.quiver.vertices:
+        xi = bim.xi_element(t, v)
+        assert bim.xi_times_socle(t, xi, v) == [
+            (s, x, t.multiply(y, t.socle_element(v))) for s, x, y in xi], v
+
+
 def oracle_top_rows(bmap, lefts):
     """The top rows as full-size rows cut to the top: the row of
     kx (x) e_j from ``oracle_keyed_rows``, restricted to the columns whose

@@ -27,11 +27,11 @@ def test_each_oracle_counts_on_its_smallest_table():
         for oracle in oracles:
             if oracle not in smallest or t.dim < smallest[oracle][1].dim:
                 smallest[oracle] = label, t
-    assert len(smallest) == 4
+    assert len(smallest) == 5
     n = collections.Counter()
     assert tool.run([(label, t, (oracle,))
                      for oracle, (label, t) in smallest.items()], n) == 0
     for key in ("pairs", "words", "rows", "modules", "radicals", "maps",
-                "products_tables", "rows_tables", "top_tables",
-                "syzygies_tables"):
+                "builds", "grams", "products_tables", "rows_tables",
+                "top_tables", "syzygies_tables", "form_tables"):
         assert n[key] > 0, key

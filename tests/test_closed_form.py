@@ -1,10 +1,12 @@
-"""The closed-form basis product, the socle-partner Gram matrix and dual basis.
+"""The closed-form basis product, the block-ordered basis, the socle-partner
+Gram matrix and dual basis.
 
 Each is checked against the slow path it replaces: the product against
 multiplying b_i by the arrows of b_j one at a time (``fixtures.walk``, the
-arrow walk, which lives only in the tests), the Gram matrix against
-computing every entry of the blocks e_v A e_u x e_u A e_v, and the dual
-basis against solving with the transposed Gram matrix by elimination.
+arrow walk, which lives only in the tests), the basis against sorting
+every word, the Gram matrix against computing every entry of the blocks
+e_v A e_u x e_u A e_v, and the dual basis against solving with the
+transposed Gram matrix by elimination.
 """
 
 import random
@@ -14,12 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import surfalg as sa
-from surfalg.algebra import _socle_partners, form_value
+from surfalg.algebra import socle_involution
 from surfalg.linalg import RowSolver
+from surfalg.quiver import skey
 
 import fixtures as fx
 from fixtures import (
-    FIELDS, KINDS, deformed_triangle, least_weights, presentation)
+    FIELDS, KINDS, deformed_triangle, form_value, least_weights, nonzero,
+    presentation)
 
 
 def walk_product(t, i, j):
@@ -97,6 +101,68 @@ def test_closed_product_matches_walk_random(data):
     assert_products_match_walk(t)
 
 
+def sorted_build(pres):
+    """The basis layout of a presentation's table as built by sorting every
+    word w(a, l) by (skey(rep a), skey(a), l), each target by ``g_power``:
+    the oracle of the block-ordered build."""
+    q, gd = pres.quiver, pres.gd
+    top = 2 if pres.kind == "string" else 1
+    words = [("w", a, length) for a in q.arrows
+             for length in range(1, pres.weight_of(a) * gd.n[a] - top + 1)]
+    words.sort(key=lambda w: (skey(gd.rep[w[1]]), skey(w[1]), w[2]))
+    basis = [("e", v) for v in q.vertices] + words
+    if pres.kind != "string":
+        basis += [("s", v) for v in q.vertices]
+    return {
+        "basis": basis,
+        "index": list({b: i for i, b in enumerate(basis)}.items()),
+        "src_of": [q.src[b[1]] if b[0] == "w" else b[1] for b in basis],
+        "tgt_of": [q.tgt[gd.g_power(b[1], b[2] - 1)] if b[0] == "w"
+                   else b[1] for b in basis],
+        "first_word": len(q.vertices),
+        "first_socle": len(q.vertices) + len(words),
+    }
+
+
+def assert_build_matches_sort_oracle(t):
+    """Returns the number of basis elements compared."""
+    for key, want in sorted_build(t.pres).items():
+        got = getattr(t, key)
+        assert (list(got.items()) if key == "index" else got) == want, key
+    for a, first in t.start.items():
+        assert t.basis[first] == ("w", a, 1), a
+    return t.dim
+
+
+def build_cases():
+    """(label, presentation): every fixture quiver x kind (deformed where
+    a border exists) x field at raises 0-2, and the deformed triangle over
+    F2 and Q with a nonzero and a zero border."""
+    for name in sorted(fx.ALL_QUIVERS):
+        border = sa.border(fx.ALL_QUIVERS[name]())[0]
+        for kind in KINDS + (("deformed",) if border else ()):
+            for field in sorted(FIELDS):
+                for up in (0, 1, 2):
+                    rng = random.Random(f"{name}/{kind}/{field}/{up}")
+                    yield f"{name}/{kind}/{field}/+{up}", presentation(
+                        name, kind, FIELDS[field], rng, up)
+    for field in (sa.PrimeField(2), sa.QQ):
+        for border_nonzero in (True, False):
+            for up in (0, 1, 2):
+                rng = random.Random(f"{field}/{border_nonzero}/{up}")
+                yield f"deformed/{field}/{border_nonzero}/+{up}", \
+                    deformed_triangle(field, rng, border_nonzero, up)
+
+
+BUILD_CASES = list(build_cases())
+
+
+@pytest.mark.parametrize("pres", [pres for _, pres in BUILD_CASES],
+                         ids=[label for label, _ in BUILD_CASES])
+def test_build_matches_sort_oracle(pres):
+    assert_build_matches_sort_oracle(sa.build_algebra(pres))
+
+
 def blockwise_gram(t, phi):
     """G[i][j] = phi(b_i b_j) over the whole block e_v A e_u of each row.
 
@@ -143,11 +209,43 @@ def fixture_algebras(max_dim=300):
                         field, rng, border_nonzero, up))
 
 
+def random_socle_form(t, rng):
+    """A form on the socle elements, each value 0, 1 or a random nonzero
+    scalar; a zero value is given or left out at random."""
+    field, phi = t.field, {}
+    for k in range(t.first_socle, t.dim):
+        val = rng.choice((field.zero, field.one, nonzero(field, rng)))
+        if val != field.zero or rng.random() < 0.5:
+            phi[k] = val
+    return phi
+
+
+def assert_gram_matches_blockwise(t, rng):
+    """The Gram matrices of the symmetrizing form and of two random socle
+    forms equal ``blockwise_gram``, row by row in key order.  Returns the
+    number of forms compared."""
+    forms = (sa.symmetrizing_form(t), random_socle_form(t, rng),
+             random_socle_form(t, rng))
+    for phi in forms:
+        got, want = sa.gram_matrix(t, phi), blockwise_gram(t, phi)
+        assert [list(row.items()) for row in got] == \
+            [list(row.items()) for row in want], phi
+    return len(forms)
+
+
+def assert_dual_matches_rowsolver(t):
+    """The dual basis equals ``rowsolver_dual_basis``, each element's keys
+    in ascending order."""
+    dual = sa.dual_basis(t)
+    assert dual == rowsolver_dual_basis(t)
+    assert all(list(x) == sorted(x) for x in dual)
+
+
 def test_gram_matches_blockwise_gram():
     count = 0
+    rng = random.Random(29)
     for name, t in fixture_algebras():
-        phi = sa.symmetrizing_form(t)
-        assert sa.gram_matrix(t, phi) == blockwise_gram(t, phi), name
+        assert_gram_matches_blockwise(t, rng)
         rep = sa.verify_symmetrizing_form(t)
         assert rep["symmetric"] and rep["nondegenerate"], name
         count += 1
@@ -195,13 +293,16 @@ def test_form_check_products_are_linear_in_dim(monkeypatch):
     assert t.dim == 2304
     rep = sa.verify_symmetrizing_form(t)
     assert rep["symmetric"] and rep["nondegenerate"]
-    assert len(calls) <= 2 * t.dim
+    assert len(sa.dual_basis(t)) == t.dim
+    assert calls == []
 
 
-def rowsolver_dual_basis(t):
-    """b_j* as the solution x of x . G^T = e_j, by one RowSolver."""
+def rowsolver_dual_basis(t, gram=None):
+    """b_j* as the solution x of x . G^T = e_j, by one RowSolver, for the
+    given Gram matrix G or that of the symmetrizing form."""
     field = t.field
-    gram = sa.gram_matrix(t, sa.symmetrizing_form(t))
+    if gram is None:
+        gram = sa.gram_matrix(t, sa.symmetrizing_form(t))
     cols = [{} for _ in range(t.dim)]
     for i, row in enumerate(gram):
         for k, val in row.items():
@@ -218,18 +319,34 @@ def rowsolver_dual_basis(t):
 
 def test_dual_basis_matches_rowsolver():
     count = 0
-    for name, t in fixture_algebras():
-        assert sa.dual_basis(t) == rowsolver_dual_basis(t), name
+    for _, t in fixture_algebras():
+        assert_dual_matches_rowsolver(t)
         count += 1
     assert count > 60
 
 
+def test_dual_basis_inverts_an_asymmetric_gram():
+    """G[j][p(j)] scaled by 2 on every block j < p(j): the dual basis is
+    column j of G^-1, which a symmetric G cannot tell from row j."""
+    rng = random.Random(3)
+    for t in (fx.triangle_algebra(m=2, field=sa.PrimeField(101)),
+              sa.build_algebra(deformed_triangle(sa.QQ, rng, True, 1))):
+        field = t.field
+        gram = [dict(row) for row in sa.gram_matrix(
+            t, sa.symmetrizing_form(t))]
+        for j, p in enumerate(socle_involution(t)):
+            if j < p:
+                gram[j][p] = field.mul(gram[j][p], field.of_int(2))
+        t._gram, t._dual = gram, None
+        assert sa.dual_basis(t) == rowsolver_dual_basis(t, gram)
+
+
 def test_dual_basis_rejects_a_degenerate_block():
     t2 = fx.triangle_algebra()
-    pair = sorted(_socle_partners(t2, 0) + [0])
+    pair = sorted({0, socle_involution(t2)[0]})
     t1 = fx.weighted(fx.sphere_opposite_quiver(),
                      m={"alpha1": 2, "alpha2": 2, "alpha3": 2})
-    fixed = next(j for j in range(t1.dim) if _socle_partners(t1, j) == [j])
+    fixed = next(j for j, p in enumerate(socle_involution(t1)) if p == j)
     for t, j in ((t2, pair[0]), (t1, fixed)):
         gram = [dict(row) for row in sa.gram_matrix(
             t, sa.symmetrizing_form(t))]

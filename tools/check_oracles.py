@@ -3,9 +3,10 @@
     python3 tools/check_oracles.py
 
 The tier-1 tests hold each fast path to a slow oracle at weight raises 0
-and 1 (the closed-form products up to raise 2).  This tool makes the same
-comparisons, with the same test helpers, up to raise 2 over the least
-legal weights:
+and 1 (up to raise 2: the closed-form products, the block-ordered build,
+and the Gram matrix and dual basis up to dimension 300).  This tool makes
+the same comparisons, with the same test helpers, up to raise 2 over the
+least legal weights:
 
 - products: ``AlgebraTable.basis_product`` on every pair of basis elements
   and ``word_element`` at every length against the arrow walk
@@ -25,7 +26,13 @@ legal weights:
   (``assert_batch_matches_four_syzygies`` of ``tests/test_modules.py``);
   the maps of the simple resolutions against maps built from basis
   products (``resolution_maps_match_products`` of
-  ``tests/test_resolution_maps.py``).
+  ``tests/test_resolution_maps.py``);
+- form, on every table with a socle: the block-ordered basis against the
+  basis built by sorting every word (``assert_build_matches_sort_oracle``
+  of ``tests/test_closed_form.py``), the Gram matrix of the symmetrizing
+  form and of two random socle forms against the blockwise Gram matrix
+  (``assert_gram_matches_blockwise``), and the dual basis against the
+  RowSolver dual (``assert_dual_matches_rowsolver``).
 
 ``tables`` yields each table once, with the oracles that run on it.
 Parameters are seeded per table.  Prints one line of counts per oracle;
@@ -50,7 +57,9 @@ from fixtures import (  # noqa: E402
 from test_bimodule import (  # noqa: E402
     assert_rows_match_oracle, assert_top_matches_exact)
 from test_closed_form import (  # noqa: E402
-    assert_products_match_walk, assert_words_match_walk)
+    assert_build_matches_sort_oracle, assert_dual_matches_rowsolver,
+    assert_gram_matches_blockwise, assert_products_match_walk,
+    assert_words_match_walk)
 from test_modules import assert_batch_matches_four_syzygies  # noqa: E402
 from test_resolution_maps import resolution_maps_match_products  # noqa: E402
 from test_syzygy import assert_start_modules_match_oracle  # noqa: E402
@@ -70,6 +79,9 @@ LINES = (
     "reports ({partner_reads} with Omega^2 the partner's module); "
     "module_map_from_elements equals the basis-product maps on {maps} "
     "resolution maps",
+    "block-ordered build equals the sort oracle on {builds} basis elements, "
+    "Gram matrix equals the blockwise Gram on {grams} forms, dual basis "
+    "equals the RowSolver dual, of {form_tables} tables",
 )
 
 
@@ -100,6 +112,13 @@ def syzygies(t, n):
     n["maps"] += resolution_maps_match_products(t)
 
 
+def form(t, n):
+    n["builds"] += assert_build_matches_sort_oracle(t)
+    n["grams"] += assert_gram_matches_blockwise(
+        t, random.Random(f"{t.kind}/{t.field}/{t.dim}"))
+    assert_dual_matches_rowsolver(t)
+
+
 def tables():
     """(label, table, oracles), each table once: every fixture quiver x
     {weighted, biserial, string, deformed where a border exists} x
@@ -110,6 +129,7 @@ def tables():
                                  for kind in KINDS})
     for name, kind in kinds:
         oracles = (((products,) if kind in KINDS else ())
+                   + ((form,) if kind != "string" else ())
                    + ((rows, top, syzygies) if (name, kind) in CASES else ()))
         for field in sorted(FIELDS):
             for up in RAISES:
@@ -117,10 +137,10 @@ def tables():
                 yield f"{name} {kind} +{up}", sa.build_algebra(
                     presentation(name, kind, FIELDS[field], rng, up)), oracles
     deformed = {"F2": sa.PrimeField(2), "Q": sa.QQ}
-    for field, border, oracles in (("F2", True, (products, rows, top)),
-                                   ("F2", False, (products,)),
-                                   ("Q", True, (products,)),
-                                   ("Q", False, (products,))):
+    for field, border, oracles in (("F2", True, (products, form, rows, top)),
+                                   ("F2", False, (products, form)),
+                                   ("Q", True, (products, form)),
+                                   ("Q", False, (products, form))):
         for up in RAISES:
             rng = random.Random(f"deformed/{field}/{up}"
                                 + ("" if border else "/zero"))
