@@ -24,16 +24,16 @@ extends the socle.  ``AlgebraTable.word_element`` is this rule.
 
 Elements are sparse dicts basis index -> nonzero scalar over the monomial
 basis: the idempotents, the g-words of each arrow as one block in length
-order (w(a, l) at ``start[a] + l - 1``), and (except for ``string``) one
-socle element per vertex; element arithmetic goes through
-``field.axpy``.  The table of right products by one arrow defines the
-algebra, and the modules walk it (:mod:`surfalg.modules`).  Every other
-product of basis elements is one monomial step in closed form at a cost
-that does not grow with the weight (``AlgebraTable.basis_product``;
-``products_by`` lists the products by one element): an idempotent factor
-gives the other, an arrow on the right is one right-table lookup, and a
-word times a word of length l >= 2 is the word l places on in its block,
-the socle, or 0, by one g-orbit test.
+order, and (except for ``string``) one socle element per vertex, an index
+being an offset into these blocks (:class:`AlgebraTable`); element
+arithmetic goes through ``field.axpy``.  The table of right products by
+one arrow defines the algebra, and the modules walk it
+(:mod:`surfalg.modules`).  Every other product of basis elements is one
+monomial step in closed form at a cost that does not grow with the weight
+(``AlgebraTable.basis_product``; ``products_by`` lists the products by
+one element): an idempotent factor gives the other, an arrow on the right
+is one right-table lookup, and a word times a word of length l >= 2 is
+the word l places on in its block, the socle, or 0, by one g-orbit test.
 Products are not memoized: a memo of the pairs the bimodule check asks for
 held most of its memory.  The symmetrizing form needs no product: b_i b_j
 reaches the socle only at j = p(i), an involution read off the block
@@ -139,7 +139,15 @@ class Presentation:
 
 
 class AlgebraTable:
-    """The algebra of a presentation, as a based multiplication table."""
+    """The algebra of a presentation, as a based multiplication table.
+
+    A basis index j is an offset into a block, with no object per element:
+    e_v at ``vpos[v]``, w(a, l) at ``start[a] + l - 1`` (a is
+    ``word_arrow[j - first_word]``), and s_v at ``first_socle + vpos[v]``
+    (not for ``string``).  The arrow blocks come in (skey(rep a), skey(a))
+    order, so the words lie in (skey(rep a), skey(a), l) order, the order
+    of sorting them all, as skey tells arrows apart.
+    """
 
     def __init__(self, pres):
         self.pres = pres
@@ -154,36 +162,43 @@ class AlgebraTable:
         # the longest word has length mn - top
         self.top = 2 if pres.kind == "string" else 1
         verts = list(q.vertices)
-        # idempotents, words, socle elements; w(a, l) at start[a] + l - 1,
-        # the blocks sorted by (skey(rep a), skey(a)), so the words are in
-        # (skey(rep a), skey(a), l) order, as skey tells arrows apart
-        self.basis = [("e", v) for v in verts]
+        self.vpos = {v: k for k, v in enumerate(verts)}
         self.src_of, self.tgt_of = list(verts), list(verts)
         self.first_word = len(verts)
         self.start = {}
+        self.word_arrow = []
         g, rep = self.gd.g, self.gd.rep
         for a in sorted(q.arrows, key=lambda a: (skey(rep[a]), skey(a))):
-            self.start[a] = len(self.basis)
+            self.start[a] = len(self.src_of)
             words = self.mn[a] - self.top
-            self.basis += [("w", a, length) for length in range(1, words + 1)]
+            self.word_arrow += [a] * words
             self.src_of += [q.src[a]] * words
             last = a
             for _ in range(words):
                 self.tgt_of.append(q.tgt[last])
                 last = g[last]
-        self.first_socle = len(self.basis)
+        # w(a, 1), the arrow a itself, by its position
+        self.arrow_at = {first: a for a, first in self.start.items()}
+        self.first_socle = len(self.src_of)
         if pres.kind != "string":
-            self.basis += [("s", v) for v in verts]
             self.src_of += verts
             self.tgt_of += verts
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        self.dim = len(self.src_of)
         self._basis_of = {}
         self.right = {}
         self._build_right_table()
         self._gram = None
         self._dual = None
         self._partner = None
+
+    def basis_element(self, j):
+        """Basis element j as ("e", v), ("w", a, l) or ("s", v)."""
+        if j < self.first_word:
+            return ("e", self.src_of[j])
+        if j >= self.first_socle:
+            return ("s", self.src_of[j])
+        a = self.word_arrow[j - self.first_word]
+        return ("w", a, j - self.start[a] + 1)
 
     def least_arrow_at(self, v):
         return self.quiver.out_arrows(v)[0]
@@ -219,7 +234,7 @@ class AlgebraTable:
                 if self.kind == "deformed" and q.f[a] == a:
                     bb = self.pres.b.get(q.src[a], field.zero)
                     if bb != field.zero:
-                        terms.append((self.index[("s", q.src[a])],
+                        terms.append((self.first_socle + self.vpos[q.src[a]],
                                       field.mul(bb, self.c_inv[ab])))
                 if q.f[a] == g[a]:
                     raise AssertionError("g- and f-extensions must differ")
@@ -227,12 +242,12 @@ class AlgebraTable:
 
     def chain(self, j):
         """Basis element j as (scalar, arrow sequence); idempotents give ()."""
-        b = self.basis[j]
-        if b[0] == "e":
+        if j < self.first_word:
             return self.field.one, ()
-        if b[0] == "w":
-            return self.field.one, self.word_arrows(b[1], b[2])
-        a = self.least_arrow_at(b[1])
+        if j < self.first_socle:
+            a = self.word_arrow[j - self.first_word]
+            return self.field.one, self.word_arrows(a, j - self.start[a] + 1)
+        a = self.least_arrow_at(self.src_of[j])
         return self.c[a], self.word_arrows(a, self.mn[a])
 
     def basis_product(self, i, j):
@@ -261,10 +276,12 @@ class AlgebraTable:
             return ((j, self.field.one),)
         if i >= self.first_socle or j >= self.first_socle:
             return ()
-        _, a, l = self.basis[j]
+        a = self.word_arrow[j - self.first_word]
+        l = j - self.start[a] + 1
         if l == 1:
             return self.right.get((i, a), ())
-        _, y, k = self.basis[i]
+        y = self.word_arrow[i - self.first_word]
+        k = i - self.start[y] + 1
         if self.gd.g_power(y, k) != a:
             return ()
         if k + l <= self.mn[y] - self.top:
@@ -284,12 +301,13 @@ class AlgebraTable:
         f(a).
         """
         one = self.field.one
-        out = [(self.index[("e", self.src_of[j] if left else self.tgt_of[j])],
+        out = [(self.vpos[self.src_of[j] if left else self.tgt_of[j]],
                 ((j, one),))]
         if j >= self.first_socle:
             return out
-        _, a, l = self.basis[j]
-        mn, start, g_power = self.mn[a], self.start, self.gd.g_power
+        a, start = self.word_arrow[j - self.first_word], self.start
+        l = j - start[a] + 1
+        mn, g_power = self.mn[a], self.gd.g_power
         # the factors w(y, d) with g^d(y) = a (left) or w(g^l(a), d) meet
         # b_j in a word while d < stop, and in the socle at d + l = mn
         stop, socle = mn + 1 - self.top - l, self.kind != "string"
@@ -313,7 +331,8 @@ class AlgebraTable:
 
     def _socle_term(self, a):
         """The full cycle B_a = c_a^-1 s_src(a), as the terms of a product."""
-        return ((self.index[("s", self.quiver.src[a])], self.c_inv[a]),)
+        return ((self.first_socle + self.vpos[self.quiver.src[a]],
+                 self.c_inv[a]),)
 
     def multiply(self, x, y):
         """Product of two elements (dicts basis index -> scalar)."""
@@ -327,7 +346,7 @@ class AlgebraTable:
         return out
 
     def idempotent(self, v):
-        return {self.index[("e", v)]: self.field.one}
+        return {self.vpos[v]: self.field.one}
 
     def arrow_element(self, a):
         return {self.start[a]: self.field.one}
@@ -344,7 +363,7 @@ class AlgebraTable:
         return {}
 
     def socle_element(self, v):
-        return {self.index[("s", v)]: self.field.one}
+        return {self.first_socle + self.vpos[v]: self.field.one}
 
     def basis_of(self, source=None, target=None):
         """A new list of the basis elements with this source and/or target."""
@@ -478,10 +497,7 @@ def symmetrizing_form(table):
     """
     if table.kind == "string":
         raise ValueError("string algebras carry no symmetrizing form here")
-    field = table.field
-    return {
-        table.index[("s", v)]: field.one for v in table.quiver.vertices
-    }
+    return {k: table.field.one for k in range(table.first_socle, table.dim)}
 
 
 def socle_involution(table):
@@ -545,7 +561,7 @@ def gram_matrix(table, phi):
     """
     if table.kind == "string":
         raise ValueError("string algebras carry no socle form")
-    if any(table.basis[k][0] != "s" for k in phi):
+    if any(not table.first_socle <= k < table.dim for k in phi):
         raise ValueError("the form must be supported on the socle")
     field, zero, q = table.field, table.field.zero, table.quiver
     partner = socle_involution(table)
@@ -592,7 +608,8 @@ def verify_symmetrizing_form(table):
                 failure = pair if failure is None else min(failure, pair)
     if failure is not None:
         i, j = failure
-        failure = {"i": list(table.basis[i]), "j": list(table.basis[j])}
+        failure = {"i": list(table.basis_element(i)),
+                   "j": list(table.basis_element(j))}
     return {
         "symmetric": failure is None,
         "failing_pair": failure,
@@ -747,15 +764,15 @@ def scaling_isomorphism_check(table1, table2, scale=None):
         t = s0
         for x in arrows:
             t = field.mul(t, scale[x])
-        bj = table2.basis[j]
-        if bj[0] == "e":
-            img = table1.idempotent(bj[1])
+        if j < table2.first_word:
+            img = table1.idempotent(table2.src_of[j])
         else:
             img = el_scale(field, t,
                            table1.word_element(arrows[0], len(arrows)))
         images.append(img)
         if not img:
-            return False, {"scale": scale, "failure": {"basis": list(bj)}}
+            failure = {"basis": list(table2.basis_element(j))}
+            return False, {"scale": scale, "failure": failure}
     failure = None
     for i in range(table2.dim):
         for j in range(table2.dim):
@@ -764,7 +781,8 @@ def scaling_isomorphism_check(table1, table2, scale=None):
                 field.axpy(lhs, images[k].items(), ck)
             rhs = table1.multiply(images[i], images[j])
             if lhs != rhs:
-                failure = {"i": list(table2.basis[i]), "j": list(table2.basis[j])}
+                failure = {"i": list(table2.basis_element(i)),
+                           "j": list(table2.basis_element(j))}
                 break
         if failure:
             break

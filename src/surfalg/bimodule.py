@@ -60,17 +60,6 @@ class Codomain:
 
     product = None
 
-    def flatten(self, terms):
-        """Flat coordinates of a list of (summand, left, right) tensors."""
-        out = {}
-        for s, x, y in terms:
-            if not (x and y):
-                continue
-            lp, rp = self.left_parts(s), self.right_parts(s)
-            self.add_tensor(out, [(lp[k], c) for k, c in x.items()],
-                            [(rp[k], c) for k, c in y.items()])
-        return out
-
 
 class BimoduleSpace(Codomain):
     """A direct sum of projective bimodules A e_i (x) e_j A.
@@ -192,14 +181,13 @@ def side_products(table, basis, x, parts, left):
                 field.axpy(acc.setdefault(p, {}), terms, field.one)
         return [(p, list(acc[p].items())) for p in sorted(acc) if acc[p]]
     (j, c), = x.items()
-    bj = table.basis[j]
-    if bj[0] == "e":
-        ends = table.tgt_of if left else table.src_of
+    if j < table.first_word:
+        v, ends = table.src_of[j], table.tgt_of if left else table.src_of
         return [(p, [(parts[k], c)]) for p, k in enumerate(basis)
-                if ends[k] == bj[1]]
-    if left and bj[0] == "w" and bj[2] == 1:
-        right, a = table.right, bj[1]
-        found = enumerate(right.get((k, a)) for k in basis)
+                if ends[k] == v]
+    a = table.arrow_at.get(j)
+    if left and a is not None:
+        found = enumerate(table.right.get((k, a)) for k in basis)
     else:
         found = _in_basis(basis, table.products_by(j, left))
     mul = field.mul
@@ -254,22 +242,22 @@ class BimoduleMap:
     def apply_flat(self, terms):
         """Flat image of a list of pure tensors (s, x, y) of the domain.
 
-        It is ``codomain.flatten`` of x.u (x) v.y over the terms (s2, u, v)
-        of each generator image, in one pass.  One-term factors a.b_i and
+        It is the flat sum of x.u (x) v.y over the terms (s2, u, v) of
+        each generator image, in one pass.  One-term factors a.b_i and
         c.b_j give (a c) times b_i b_j in the closed form of
         ``basis_product``, with no call where that is one step: an
         idempotent factor gives the other (once b_i ends where b_j starts),
         and an arrow b_j the right table's entry at (i, b_j).  Other
         products come from ``multiply``.  Generator terms are unpacked once
         per call.  Each pair of terms of x.u and v.y adds its scalar at its
-        columns (as in :class:`Codomain`) at once, in ``flatten``'s order,
-        so the dict is the same, order included.  v.y is not formed when
-        x.u = 0.
+        columns (as ``codomain.add_tensor`` does) at once, tensor by tensor
+        and term by term, so the dict is the one ``add_tensor`` builds from
+        the products, order included.  v.y is not formed when x.u = 0.
         """
         table, cod = self.table, self.codomain
         bp, multiply, right_table = table.basis_product, table.multiply, \
             table.right
-        basis, src_of, tgt_of = table.basis, table.src_of, table.tgt_of
+        arrow_at, src_of, tgt_of = table.arrow_at, table.src_of, table.tgt_of
         words, one = table.first_word, table.field.one
         axpy, p = table.field.axpy, table.field.char
         prod = cod.product
@@ -285,9 +273,7 @@ class BimoduleMap:
                 for s2, u, v in self.gen_images[s]:
                     (j, c), = u.items() if len(u) == 1 else ((None, None),)
                     (jv, cv), = v.items() if len(v) == 1 else ((None, None),)
-                    arrow = basis[j][1] if j is not None and \
-                        basis[j][0] == "w" and basis[j][2] == 1 else None
-                    gen.append((u, j, c, arrow, v, jv, cv,
+                    gen.append((u, j, c, arrow_at.get(j), v, jv, cv,
                                 cod.left_parts(s2), cod.right_parts(s2)))
             for u, j, c, arrow, v, jv, cv, lp, rp in gen:
                 if i is None or j is None:
@@ -336,7 +322,7 @@ class BimoduleMap:
         left idempotent of each summand and every ky; with ``top``, of
         their top rows, the images of e_i (x) e_j in the top complex."""
         table = self.table
-        units = [[table.index[("e", i)]] for i, _ in self.domain.summands]
+        units = [[table.vpos[i]] for i, _ in self.domain.summands]
         return block_rank(self._keyed_rows(units, top), table.field)
 
     def rank(self, top=False):
@@ -389,7 +375,7 @@ class BimoduleMap:
         for s, terms in enumerate(self.gen_images):
             left = lefts[s]
             if top:
-                e = table.index[("e", self.domain.summands[s][1])]
+                e = table.vpos[self.domain.summands[s][1]]
                 right = [e]
             else:
                 right = self.domain.right[s]
@@ -428,14 +414,28 @@ def bimodule_spaces(table):
     return tuple(BimoduleSpace(table, s) for s in _summands(table.quiver))
 
 
-def bimodule_dims(table):
-    """The report's dims, A then P0..P3, without building the spaces: a
-    summand (i, j) has dim(A e_i) . dim(e_j A) basis tensors."""
-    left = {v: len(table.basis_of(target=v)) for v in table.quiver.vertices}
-    right = {v: len(table.basis_of(source=v)) for v in table.quiver.vertices}
-    dims = {"algebra": table.dim}
-    dims.update((f"P{n}", sum(left[i] * right[j] for i, j in s))
-                for n, s in enumerate(_summands(table.quiver)))
+def bimodule_dims(pres):
+    """The report's dims, A then P0..P3, of a presentation, in closed form
+    with no table built.
+
+    A summand (i, j) has dim(A e_i) . dim(e_j A) basis tensors, and
+    dim e_v A = dim A e_v = d(v) = [kind != string] + 1 + the sum of
+    mn_a - top over the arrows a out of v.  The basis elements starting
+    at v are e_v, s_v (not for ``string``) and the mn_a - top words
+    w(a, l) of each arrow a out of v.  Those ending at v are e_v, s_v and
+    the words whose last arrow b ends at v: w(g^(1-l)(b), l) for
+    1 <= l <= mn_b - top, as mn is constant on g-orbits.  g maps the two
+    arrows into v onto the two arrows out of v, keeping mn, so both
+    counts are d(v).
+    """
+    q, gd = pres.quiver, pres.gd
+    top = 2 if pres.kind == "string" else 1
+    d = {v: (pres.kind != "string") + 1 + sum(
+        pres.weight_of(a) * gd.n[a] - top for a in q.out_arrows(v))
+        for v in q.vertices}
+    dims = {"algebra": sum(d.values())}
+    dims.update((f"P{n}", sum(d[i] * d[j] for i, j in s))
+                for n, s in enumerate(_summands(q)))
     return dims
 
 
@@ -567,13 +567,6 @@ def xi_element(table, v):
     return terms
 
 
-def xi_times_socle(table, xi, v):
-    """The terms (s, x, y . s_v) of xi_v . s_v: of all b . s_v only
-    e_v . s_v = s_v is nonzero, so y . s_v is y[e_v] s_v."""
-    e, soc = table.index[("e", v)], table.index[("s", v)]
-    return [(s, x, {soc: y[e]} if e in y else {}) for s, x, y in xi]
-
-
 def map_theta(table, p3):
     """A -> P3, e_v to xi_v; its image is the kernel of S.
 
@@ -649,7 +642,7 @@ def verify_bimodule_periodicity(table):
     q = table.quiver
     n = len(q.vertices)
     p0, p1, p2, p3 = bimodule_spaces(table)
-    dims = bimodule_dims(table)
+    dims = bimodule_dims(table.pres)
     maps = {"d0": map_d0(table, p0), "d": map_d(table, p0, p1),
             "R": map_R(table, p1, p2), "S": map_S(table, p2, p3)}
     stages = []
@@ -704,7 +697,11 @@ def verify_bimodule_periodicity(table):
     ranks["theta"] = rank("theta", n if comp and exact_at_p3 else None,
                           table.dim, theta["rank"])
     kernel_dim = p3.dim - ranks["S"]
-    socle_seen = all(p3.flatten(xi_times_socle(table, theta["xis"][v], v))
+    # xi_v . s_v is the sum of b (x) b*.s_v over b in e_v A, and of all
+    # k . s_v only e_v . s_v = s_v is nonzero, so b*.s_v = b*[e_v] s_v.
+    # Each b gives its own column b (x) s_v, so no two terms cancel: the
+    # product is nonzero exactly when some b* has an e_v term.
+    socle_seen = all(any(table.vpos[v] in y for _, _, y in theta["xis"][v])
                      for v in q.vertices)
     ok = (comp and ranks["theta"] == table.dim
           and kernel_dim == table.dim and socle_seen)

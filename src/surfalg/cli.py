@@ -252,7 +252,7 @@ def get_table(doc):
 
 
 def _basis_json(table):
-    return [list(b) for b in table.basis]
+    return [list(table.basis_element(j)) for j in range(table.dim)]
 
 
 def cmd_validate(doc, args):
@@ -411,17 +411,18 @@ def cmd_verify_simple(doc, args):
 
 
 def cmd_verify_bimodule(doc, args):
-    table = get_table(doc)
-    if table.kind not in ("weighted", "deformed"):
+    pres = get_presentation(doc, get_quiver(doc))
+    if pres.kind not in ("weighted", "deformed"):
         raise InputError(
             "bimodule periodicity needs kind 'weighted' or 'deformed'")
-    dims = bim.bimodule_dims(table)
+    dims = bim.bimodule_dims(pres)
     limit = args.max_dim
     widest = max(dims.values())
     if widest > limit:
         raise InputError(
             f"bimodule spaces reach dimension {widest}, over the limit "
             f"{limit}; raise --max-dim or SAW_MAX_DIM to proceed")
+    table = alg.build_algebra(pres)
     try:
         report = bim.verify_bimodule_periodicity(table)
     except ValueError as exc:

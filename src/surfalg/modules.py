@@ -137,8 +137,8 @@ class RightModule:
         """
         table = self.table
         field = table.field
-        mats, g, index, start = self.mats, table.gd.g, table.index, table.start
-        out = {index[("e", v)]: dict(vec)}
+        mats, g, start = self.mats, table.gd.g, table.start
+        out = {table.vpos[v]: dict(vec)}
         least = table.least_arrow_at(v)
         for a in table.quiver.out_arrows(v):
             cur, arrow = vec, a
@@ -147,7 +147,7 @@ class RightModule:
                 out[start[a] + length - 1] = cur
                 arrow = g[arrow]
             if a == least and table.kind != "string":
-                out[index[("s", v)]] = el_scale(
+                out[table.first_socle + table.vpos[v]] = el_scale(
                     field, table.c[a], _arrow_step(cur, mats[arrow], field))
         return out
 
@@ -583,8 +583,8 @@ def _in_radical(projective, rows):
     """Whether the rows at each vertex w, ``rows[w]`` in the coordinates of
     a projective sum, avoid its generator coordinates (j, e_w), w the
     vertex of summand j: then they lie in the radical of the sum."""
-    index = projective.table.index
-    return not any(projective.coords[j][index[("e", w)]] in row
+    vpos = projective.table.vpos
+    return not any(projective.coords[j][vpos[w]] in row
                    for j, w in enumerate(projective.components)
                    for row in rows[w])
 
@@ -709,7 +709,7 @@ def _simple_resolution(table, v):
     # The socle s_v of P_v is the single coordinate (0, s_v) at vertex v,
     # looked up as e_v is for pi1 above: pi3 kills s_v exactly when its
     # row of pi3 is empty.
-    s_pos = p_v.coords[0][table.index[("s", v)]]
+    s_pos = p_v.coords[0][table.first_socle + table.vpos[v]]
     soc_killed = not pi3.mats[v][s_pos]
     stages.append({
         "name": "kernel_pi3_is_socle",

@@ -222,15 +222,29 @@ def form_value(table, phi, x):
 
 def path_element(table, arrows, coeff):
     """coeff times a nonempty path of composable arrows, by the walk."""
-    start = table.index[("e", table.quiver.src[arrows[0]])]
+    start = table.vpos[table.quiver.src[arrows[0]]]
     return walk(table, {start: coeff}, arrows)
 
 
 def walked_word(table, a, length):
     """The path a g(a) ... g^(length-1)(a), by the walk from e_s(a)."""
-    start = table.index[("e", table.quiver.src[a])]
+    start = table.vpos[table.quiver.src[a]]
     return walk(table, {start: table.field.one},
                 table.word_arrows(a, length))
+
+
+def flatten(cod, terms):
+    """Flat coordinates in the codomain ``cod`` of a list of (summand,
+    left, right) tensors, one ``add_tensor`` per tensor: the slow route of
+    ``BimoduleMap.apply_flat``."""
+    out = {}
+    for s, x, y in terms:
+        if not (x and y):
+            continue
+        lp, rp = cod.left_parts(s), cod.right_parts(s)
+        cod.add_tensor(out, [(lp[k], c) for k, c in x.items()],
+                       [(rp[k], c) for k, c in y.items()])
+    return out
 
 
 def quiver_doc(quiver, **extra):

@@ -127,19 +127,45 @@ def test_orbit_keys_normalize():
 
 def test_basis_layout():
     t = fx.triangle_algebra()
-    kinds = [b[0] for b in t.basis]
-    assert kinds.count("e") == 3 and kinds.count("s") == 3
-    assert kinds.count("w") == t.dim - 6
+    kinds = [t.basis_element(j)[0] for j in range(t.dim)]
+    assert kinds == ["e"] * 3 + ["w"] * (t.dim - 6) + ["s"] * 3
+    assert (t.first_word, t.first_socle) == (3, t.dim - 3)
     # string algebras have no socle rows of their own
     ts = sa.build_algebra(sa.Presentation(
         fx.triangle_quiver(), kind="string", field=sa.QQ))
-    assert all(b[0] != "s" for b in ts.basis)
+    assert ts.first_socle == ts.dim
+    assert all(ts.basis_element(j)[0] != "s" for j in range(ts.dim))
+
+
+def test_checks_read_offsets_only(monkeypatch):
+    """A table stores no tuple per basis element and no index dict, and
+    the form, simple, bimodule, uniserial and growth checks of passing
+    algebras never name a basis element: they read block offsets only."""
+    def named(self, j):
+        raise AssertionError(f"a check called basis_element({j})")
+
+    monkeypatch.setattr(sa.AlgebraTable, "basis_element", named)
+    tetra = fx.tetrahedral_algebra(a=2)
+    for t in (fx.triangle_algebra(m=2), tetra, fx.deformed_triangle_f2()):
+        assert not hasattr(t, "basis") and not hasattr(t, "index")
+        rep = sa.verify_symmetrizing_form(t)
+        assert rep["symmetric"] and rep["nondegenerate"]
+        for v in t.quiver.vertices:
+            rep = sa.verify_simple_resolution(t, v)
+            assert rep["verdict"] == "PERIODIC_PERIOD_4", v
+        rep = sa.verify_bimodule_periodicity(t)
+        assert rep["verdict"] == "PERIODIC_PERIOD_4"
+        if t.kind == "weighted":
+            assert sa.classify_growth(t)["verdict"]
+    reports = sa.uniserial_period_checks(tetra, tetra.quiver.arrows)
+    assert all(r["period_exactly_4"] for r in reports)
 
 
 def test_identity_and_idempotents():
     for t in all_kind_tables():
         F = t.field
-        for i, b in enumerate(t.basis):
+        for i in range(t.dim):
+            b = t.basis_element(i)
             left = t.multiply(t.idempotent(t.src_of[i]), {i: F.one})
             right = t.multiply({i: F.one}, t.idempotent(t.tgt_of[i]))
             assert left == {i: F.one}, (t.kind, b)
@@ -155,7 +181,7 @@ def _check_assoc(t, triples):
         jk = dict(t.basis_product(j, k))
         lhs = t.multiply(ij, {k: F.one})
         rhs = t.multiply({i: F.one}, jk)
-        assert lhs == rhs, (t.kind, t.basis[i], t.basis[j], t.basis[k])
+        assert lhs == rhs, (t.kind, i, j, k)
 
 
 def test_associativity_exhaustive_small():
@@ -355,7 +381,7 @@ def walk_scaling_check(table1, table2, scale):
         t = s0
         for x in arrows:
             t = field.mul(t, scale[x])
-        bj = table2.basis[j]
+        bj = table2.basis_element(j)
         if bj[0] == "e":
             img = table1.idempotent(bj[1])
         else:
@@ -370,8 +396,8 @@ def walk_scaling_check(table1, table2, scale):
             for k, ck in table2.basis_product(i, j):
                 field.axpy(lhs, images[k].items(), ck)
             if lhs != table1.multiply(images[i], images[j]):
-                failure = {"i": list(table2.basis[i]),
-                           "j": list(table2.basis[j])}
+                failure = {"i": list(table2.basis_element(i)),
+                           "j": list(table2.basis_element(j))}
                 break
         if failure:
             break
@@ -411,7 +437,9 @@ def test_zero_deformation_matches_weighted():
     t_d = sa.build_algebra(sa.Presentation(
         fx.triangle_quiver(), kind="deformed", field=F,
         b={1: 0, 2: 0, 3: 0}))
-    assert t_w.basis == t_d.basis
+    assert t_w.dim == t_d.dim
+    assert all(t_w.basis_element(j) == t_d.basis_element(j)
+               for j in range(t_w.dim))
     for i in range(t_w.dim):
         for j in range(t_w.dim):
             assert t_w.basis_product(i, j) == t_d.basis_product(i, j)

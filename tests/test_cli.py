@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import surfalg.algebra as alg
 from surfalg.algebra import KINDS
 from surfalg.cli import COMMANDS, build_parser, main
 
@@ -292,6 +293,19 @@ def test_max_dim_gate(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAW_MAX_DIM", "many")
     code, _, err = run(capsys, ["verify-bimodule-periodicity", path])
     assert code == 2 and err.startswith("error: SAW_MAX_DIM")
+
+
+def test_max_dim_gate_builds_no_table(tmp_path, capsys, monkeypatch):
+    # the guard prices the spaces off the presentation alone
+    built = []
+    monkeypatch.setattr(alg.AlgebraTable, "__init__",
+                        lambda self, pres: built.append(pres))
+    path = write_doc(tmp_path, triangle_doc())
+    code, out, err = run(capsys, ["verify-bimodule-periodicity", path,
+                                  "--max-dim", "100"])
+    assert (code, out, built) == (2, "", [])
+    assert err == ("error: bimodule spaces reach dimension 864, over the "
+                   "limit 100; raise --max-dim or SAW_MAX_DIM to proceed\n")
 
 
 def test_default_max_dim_admits_triangle_m4(tmp_path, capsys, monkeypatch):

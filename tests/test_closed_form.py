@@ -51,7 +51,7 @@ def assert_products_match_walk(t):
     for i in range(t.dim):
         for j in range(t.dim):
             assert t.basis_product(i, j) == walk_product(t, i, j), \
-                (t.kind, t.basis[i], t.basis[j])
+                (t.kind, t.basis_element(i), t.basis_element(j))
     return t.dim * t.dim
 
 
@@ -102,9 +102,10 @@ def test_closed_product_matches_walk_random(data):
 
 
 def sorted_build(pres):
-    """The basis layout of a presentation's table as built by sorting every
-    word w(a, l) by (skey(rep a), skey(a), l), each target by ``g_power``:
-    the oracle of the block-ordered build."""
+    """The basis of a presentation's table as built by sorting every word
+    w(a, l) by (skey(rep a), skey(a), l), as a list of tuples, and its
+    layout read off that list by looking each element up, each target by
+    ``g_power``: the oracle of the block-ordered build."""
     q, gd = pres.quiver, pres.gd
     top = 2 if pres.kind == "string" else 1
     words = [("w", a, length) for a in q.arrows
@@ -113,24 +114,39 @@ def sorted_build(pres):
     basis = [("e", v) for v in q.vertices] + words
     if pres.kind != "string":
         basis += [("s", v) for v in q.vertices]
-    return {
-        "basis": basis,
-        "index": list({b: i for i, b in enumerate(basis)}.items()),
+    index = {b: i for i, b in enumerate(basis)}
+    return basis, {
+        "vpos": {v: index[("e", v)] for v in q.vertices},
+        "word_arrow": [w[1] for w in words],
+        "start": {w[1]: index[w] for w in words if w[2] == 1},
+        "arrow_at": {index[w]: w[1] for w in words if w[2] == 1},
         "src_of": [q.src[b[1]] if b[0] == "w" else b[1] for b in basis],
         "tgt_of": [q.tgt[gd.g_power(b[1], b[2] - 1)] if b[0] == "w"
                    else b[1] for b in basis],
         "first_word": len(q.vertices),
         "first_socle": len(q.vertices) + len(words),
-    }
+        "dim": len(basis),
+    }, index
 
 
 def assert_build_matches_sort_oracle(t):
-    """Returns the number of basis elements compared."""
-    for key, want in sorted_build(t.pres).items():
+    """``basis_element``, every offset and the layout lists equal the sort
+    oracle's, dicts in order, and the idempotent and socle elements sit
+    at their tuples' positions.  Returns the number of basis elements
+    compared."""
+    basis, layout, index = sorted_build(t.pres)
+    assert [t.basis_element(j) for j in range(t.dim)] == basis
+    for key, want in layout.items():
         got = getattr(t, key)
-        assert (list(got.items()) if key == "index" else got) == want, key
-    for a, first in t.start.items():
-        assert t.basis[first] == ("w", a, 1), a
+        if isinstance(want, dict):
+            got, want = list(got.items()), list(want.items())
+        assert got == want, key
+    one = t.field.one
+    for v in t.quiver.vertices:
+        assert t.idempotent(v) == {index[("e", v)]: one}, v
+        if t.kind != "string":
+            assert t.socle_element(v) == {index[("s", v)]: one}, v
+            assert t.first_socle + t.vpos[v] == index[("s", v)], v
     return t.dim
 
 
@@ -186,7 +202,8 @@ def blockwise_failing_pair(t, gram):
     for i in range(t.dim):
         for j in t.basis_of(source=t.tgt_of[i], target=t.src_of[i]):
             if j > i and gram[i].get(j, zero) != gram[j].get(i, zero):
-                return {"i": list(t.basis[i]), "j": list(t.basis[j])}
+                return {"i": list(t.basis_element(i)),
+                        "j": list(t.basis_element(j))}
     return None
 
 
@@ -277,7 +294,7 @@ def test_failing_pair_is_first_in_row_major_order():
 def test_gram_rejects_form_off_the_socle():
     t = fx.triangle_algebra()
     with pytest.raises(ValueError):
-        sa.gram_matrix(t, {t.index[("e", 1)]: t.field.one})
+        sa.gram_matrix(t, {t.vpos[1]: t.field.one})
 
 
 def test_form_check_products_are_linear_in_dim(monkeypatch):

@@ -238,7 +238,7 @@ def maps_of(table):
 def general_apply_flat(bmap, terms):
     """``apply_flat`` as ``flatten`` of ``multiply``, the general path."""
     mul = bmap.table.multiply
-    return bmap.codomain.flatten([
+    return fx.flatten(bmap.codomain, [
         (s2, mul(x, u), mul(v, y))
         for s, x, y in terms for s2, u, v in bmap.gen_images[s]])
 
@@ -291,7 +291,7 @@ def test_algebra_target_flattens_to_multiply(name, kind, field):
         x, y = ({k: t.field.of_int(rng.randrange(1, 5))
                  for k in rng.sample(range(t.dim), rng.randrange(1, 4))}
                 for _ in range(2))
-        assert list(target.flatten([(None, x, y)]).items()) == \
+        assert list(fx.flatten(target, [(None, x, y)]).items()) == \
             list(t.multiply(x, y).items())
 
 

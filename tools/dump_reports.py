@@ -12,6 +12,11 @@ over Q, negative and unreduced ints over F101); the uniserial check of the
 tetrahedral algebras (a = 1, 2); and exit code and stdout of every CLI
 command on each fixture quiver and surface document.  The seed draws
 parameters and border values and is the CLI ``--seed``.
+
+``dump_reports.sha256`` holds the sha256 of the output at seeds 101 and
+202 under Python 3.11, as ``dump-101.json`` and ``dump-202.json``; CI
+checks the bytes against it with ``sha256sum -c``.  A change that alters
+the reports on purpose updates the digests and says so in CHANGES.md.
 """
 
 import contextlib
